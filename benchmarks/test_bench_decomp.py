@@ -44,6 +44,7 @@ from __future__ import annotations
 import os
 import time
 
+from repro import SolveOptions
 from repro.core.decomposition import DecompositionConfig, solve_decomposition
 from repro.core.planner import ETransformPlanner, PlannerOptions, PlanningError
 from repro.datasets import load_enterprise1, load_federal
@@ -100,7 +101,7 @@ def _run_monolithic(state) -> dict:
             state,
             PlannerOptions(
                 backend="branch_bound",
-                solver_options={"time_limit": BUDGET, "gap_tolerance": GAP_TARGET},
+                solve_options=SolveOptions(time_limit=BUDGET, gap_tolerance=GAP_TARGET),
             ),
         ).build_plan()
     except PlanningError as exc:

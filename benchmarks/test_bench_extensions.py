@@ -7,12 +7,13 @@
 
 from __future__ import annotations
 
+from repro import SolveOptions
 from repro.datasets import load_enterprise1
 from repro.experiments import run_resilience, run_site_count
 
 from .conftest import run_once
 
-SOLVER = {"mip_rel_gap": 0.02, "time_limit": 90}
+SOLVER = SolveOptions(mip_rel_gap=0.02, time_limit=90)
 
 
 def test_bench_resilience(benchmark, archive):
@@ -20,7 +21,7 @@ def test_bench_resilience(benchmark, archive):
 
     def run():
         return run_resilience(
-            state, horizon_months=240, backend="highs", solver_options=SOLVER
+            state, horizon_months=240, backend="highs", solve_options=SOLVER
         )
 
     result = run_once(benchmark, run)
@@ -45,7 +46,7 @@ def test_bench_site_count(benchmark, archive):
     state = load_enterprise1(scale=0.4)
 
     def run():
-        return run_site_count(state, backend="highs", solver_options=SOLVER)
+        return run_site_count(state, backend="highs", solve_options=SOLVER)
 
     result = run_once(benchmark, run)
     feasible = result.feasible_points()

@@ -7,6 +7,7 @@ total-cost order (its Fig. 10 legend reads 4, 5, 3, 6, 2, 7, 1).
 
 from __future__ import annotations
 
+from repro import SolveOptions
 from repro.experiments import run_placement_growth, tables
 from repro.experiments.placement_growth import DEFAULT_GROUP_COUNTS
 
@@ -18,7 +19,7 @@ def test_bench_fig10_placement_growth(benchmark, archive):
         return run_placement_growth(
             group_counts=DEFAULT_GROUP_COUNTS,
             backend="highs",
-            solver_options={"mip_rel_gap": 1e-4},
+            solve_options=SolveOptions(mip_rel_gap=1e-4),
         )
 
     result = run_once(benchmark, run)

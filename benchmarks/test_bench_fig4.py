@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro import SolveOptions
 from repro.datasets import load_enterprise1, load_federal, load_florida
 from repro.experiments import run_comparison, tables
 from repro.experiments.comparison import CaseStudySuite
 
 from .conftest import run_once
 
-SOLVER_OPTIONS = {"mip_rel_gap": 0.005, "time_limit": 180}
+SOLVER_OPTIONS = SolveOptions(mip_rel_gap=0.005, time_limit=180)
 
 _CASES = {
     "enterprise1": lambda: load_enterprise1(),
@@ -51,7 +52,7 @@ def test_bench_fig4_comparison(benchmark, archive, dataset):
 
     def run():
         return run_comparison(
-            state, backend="highs", solver_options=SOLVER_OPTIONS
+            state, backend="highs", solve_options=SOLVER_OPTIONS
         )
 
     result = run_once(benchmark, run)

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro import SolveOptions
 from repro.datasets import load_enterprise1, load_federal, load_florida
 from repro.experiments import run_comparison, tables
 from repro.experiments.comparison import CaseStudySuite
 
 from .conftest import run_once
 
-SOLVER_OPTIONS = {"mip_rel_gap": 0.02, "time_limit": 120}
+SOLVER_OPTIONS = SolveOptions(mip_rel_gap=0.02, time_limit=120)
 
 _CASES = {
     "enterprise1": lambda: load_enterprise1(scale=0.25),
@@ -56,7 +57,7 @@ def test_bench_fig6_dr_comparison(benchmark, archive, dataset):
 
     def run():
         return run_comparison(
-            state, enable_dr=True, backend="highs", solver_options=SOLVER_OPTIONS
+            state, enable_dr=True, backend="highs", solve_options=SOLVER_OPTIONS
         )
 
     result = run_once(benchmark, run)

@@ -12,6 +12,7 @@ Sweeps the per-band penalty over the paper's five user splits on the
 
 from __future__ import annotations
 
+from repro import SolveOptions
 from repro.experiments import run_latency_sweep, tables
 
 from .conftest import run_once
@@ -26,7 +27,7 @@ def test_bench_fig7_latency_sweep(benchmark, archive):
             penalties=PENALTIES,
             user_splits=SPLITS,
             backend="highs",
-            solver_options={"mip_rel_gap": 0.003, "time_limit": 30},
+            solve_options=SolveOptions(mip_rel_gap=0.003, time_limit=30),
         )
 
     result = run_once(benchmark, run)

@@ -11,6 +11,7 @@ consolidation + DR on the line scenario, and checks the two curves:
 
 from __future__ import annotations
 
+from repro import SolveOptions
 from repro.experiments import run_dr_cost_sweep, tables
 from repro.experiments.dr_cost_sweep import DEFAULT_DR_COSTS
 
@@ -22,7 +23,7 @@ def test_bench_fig8_dr_cost_sweep(benchmark, archive):
         return run_dr_cost_sweep(
             dr_costs=DEFAULT_DR_COSTS,
             backend="highs",
-            solver_options={"mip_rel_gap": 0.02, "time_limit": 60},
+            solve_options=SolveOptions(mip_rel_gap=0.02, time_limit=60),
         )
 
     result = run_once(benchmark, run)

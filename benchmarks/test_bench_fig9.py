@@ -9,6 +9,8 @@ expensive one.
 
 from __future__ import annotations
 
+import repro
+from repro import PlannerOptions, SolveOptions
 from repro.experiments import run_tradeoff, tables
 
 
@@ -32,16 +34,21 @@ def test_bench_fig9_tradeoff(benchmark, archive):
 
 def test_bench_fig9_solver_agrees_with_pricing(benchmark, archive):
     """eTransform's actual placement lands in the priced minimum."""
-    from repro.core import plan_consolidation
     from repro.datasets import tradeoff_line_scenario
 
     reference = run_tradeoff(100)
     state = tradeoff_line_scenario(n_groups=100)
 
     def run():
-        return plan_consolidation(
-            state, backend="highs", wan_model="vpn", mip_rel_gap=1e-4
-        )
+        return repro.solve(
+            state,
+            method="milp",
+            options=PlannerOptions(
+                backend="highs",
+                wan_model="vpn",
+                solve_options=SolveOptions(mip_rel_gap=1e-4),
+            ),
+        ).plan
 
     plan = benchmark.pedantic(run, rounds=1, iterations=1)
     chosen = set(plan.placement.values())

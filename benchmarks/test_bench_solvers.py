@@ -1,8 +1,8 @@
 """Optimization-engine benchmarks: the substrate itself.
 
 Timings of the from-scratch components against the HiGHS reference on
-consolidation-shaped instances, plus the effect of presolve and cover
-cuts.  These are throughput benchmarks (pytest-benchmark runs them
+consolidation-shaped instances, plus the cost of the array presolve and
+the effect of cover cuts.  These are throughput benchmarks (pytest-benchmark runs them
 repeatedly), unlike the run-once experiment benches.
 """
 
@@ -12,7 +12,8 @@ import pytest
 
 from repro.core import ConsolidationModel, ModelOptions
 from repro.datasets import load_enterprise1
-from repro.lp import SolveStatus, solve, solve_with_presolve
+from repro.lp import SolveOptions, SolveStatus, solve
+from repro.lp.array_presolve import presolve_arrays
 from repro.lp.standard_form import to_matrix_form
 
 
@@ -48,7 +49,9 @@ def test_bench_highs_small(benchmark, small_model):
 
 def test_bench_branch_bound_small(benchmark, small_model):
     sol = benchmark(
-        lambda: solve(small_model, backend="branch_bound", node_limit=50_000)
+        lambda: solve(
+            small_model, backend="branch_bound", options=SolveOptions(node_limit=50_000)
+        )
     )
     assert sol.status is SolveStatus.OPTIMAL
 
@@ -56,16 +59,24 @@ def test_bench_branch_bound_small(benchmark, small_model):
 def test_bench_branch_bound_with_cuts_small(benchmark, small_model):
     sol = benchmark(
         lambda: solve(
-            small_model, backend="branch_bound",
-            node_limit=50_000, cover_cut_rounds=3,
+            small_model,
+            backend="branch_bound",
+            options=SolveOptions(node_limit=50_000, cover_cut_rounds=3),
         )
     )
     assert sol.status is SolveStatus.OPTIMAL
 
 
-def test_bench_presolve_plus_highs_medium(benchmark, medium_model):
-    sol = benchmark(lambda: solve_with_presolve(medium_model, backend="highs"))
-    assert sol.status is SolveStatus.OPTIMAL
+def test_bench_array_presolve_medium(benchmark, medium_model):
+    form = to_matrix_form(medium_model)
+    result = benchmark(
+        lambda: presolve_arrays(
+            form.a_ub, form.b_ub, form.a_eq, form.b_eq, form.lb, form.ub,
+            integrality=form.integrality,
+        )
+    )
+    assert not result.infeasible
+    assert result.reduced
 
 
 def test_bench_highs_medium(benchmark, medium_model):
@@ -79,6 +90,6 @@ def test_bench_exactness_cross_check(benchmark, small_model):
         lambda: solve(small_model, backend="highs"), rounds=1, iterations=1
     )
     bb = solve(small_model, backend="branch_bound")
-    pre = solve_with_presolve(small_model, backend="highs")
+    raw = solve(small_model, backend="branch_bound", options=SolveOptions(presolve=False))
     assert highs.objective == pytest.approx(bb.objective, rel=1e-6)
-    assert highs.objective == pytest.approx(pre.objective, rel=1e-6)
+    assert highs.objective == pytest.approx(raw.objective, rel=1e-6)

@@ -12,14 +12,14 @@ single failure.
 
 import sys
 
-from repro import PlannerOptions, load_enterprise1, solve
+from repro import PlannerOptions, SolveOptions, load_enterprise1, solve
 from repro.baselines import asis_with_dr_plan
 
 
 def dr_options(time_limit: float) -> PlannerOptions:
     return PlannerOptions(
         enable_dr=True,
-        solver_options={"mip_rel_gap": 0.02, "time_limit": time_limit},
+        solve_options=SolveOptions(mip_rel_gap=0.02, time_limit=time_limit),
     )
 
 

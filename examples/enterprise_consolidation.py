@@ -10,6 +10,7 @@ and the violation counts side by side.
 
 import sys
 
+from repro import SolveOptions
 from repro.experiments import run_comparison, tables
 from repro.experiments.comparison import CASE_STUDY_LOADERS
 
@@ -25,7 +26,7 @@ def main() -> None:
     result = run_comparison(
         state,
         backend="auto",
-        solver_options={"mip_rel_gap": 0.005, "time_limit": 120},
+        solve_options=SolveOptions(mip_rel_gap=0.005, time_limit=120),
     )
     print(tables.render_comparison(result))
     print()

@@ -9,13 +9,14 @@ example drives the IterativeSession API through such a refinement loop
 and shows the cost of each directive.
 """
 
-from repro import IterativeSession, PlannerOptions, load_enterprise1
+from repro import IterativeSession, PlannerOptions, SolveOptions, load_enterprise1
 
 
 def main() -> None:
     state = load_enterprise1(scale=0.3)
     session = IterativeSession(
-        state, PlannerOptions(backend="auto", solver_options={"mip_rel_gap": 0.005})
+        state,
+        PlannerOptions(backend="auto", solve_options=SolveOptions(mip_rel_gap=0.005)),
     )
 
     plan = session.plan()

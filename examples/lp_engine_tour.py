@@ -4,7 +4,7 @@ Run:  python examples/lp_engine_tour.py
 
 The planner's substrate is a self-contained modeling-plus-solver stack.
 This example builds a small facility-location MILP by hand and walks it
-through everything the engine offers: all four backends, presolve,
+through everything the engine offers: the backends, the array presolve,
 cover cuts, and the LP/MPS interchange formats (write, re-parse,
 re-solve).
 """
@@ -13,10 +13,10 @@ import tempfile
 
 from repro.lp import (
     Problem,
+    SolveOptions,
     parse_lp_string,
     quicksum,
     solve,
-    solve_with_presolve,
     write_lp_string,
     write_mps_string,
 )
@@ -64,12 +64,17 @@ def main() -> None:
     for backend in ("highs", "branch_bound", "rounding"):
         sol = solve(model, backend=backend)
         print(f"  {backend:<14} {sol.status.value:<10} obj={sol.objective:.1f}")
-    cut = solve(model, backend="branch_bound", cover_cut_rounds=3)
+    cut = solve(model, backend="branch_bound", options=SolveOptions(cover_cut_rounds=3))
     print(f"  {'bb+cuts':<14} {cut.status.value:<10} obj={cut.objective:.1f} "
           f"({cut.iterations} nodes)")
 
-    pre = solve_with_presolve(model, backend="highs")
-    print(f"  {'presolve+highs':<14} {pre.status.value:<10} obj={pre.objective:.1f}\n")
+    # branch_bound presolves the root arrays once per tree (on by default).
+    stats = solve(
+        model, backend="branch_bound", options=SolveOptions(relaxation_engine="builtin")
+    ).stats
+    print(f"  array presolve: {stats.presolve_fixed_variables} vars fixed, "
+          f"{stats.presolve_dropped_constraints} rows dropped, "
+          f"{stats.presolve_tightened_bounds} bounds tightened\n")
 
     lp_text = write_lp_string(model)
     print("LP format (head):")

@@ -11,7 +11,7 @@ one-off migration cost, and the month the project pays for itself.
 
 import sys
 
-from repro import PlannerOptions, load_enterprise1, solve
+from repro import PlannerOptions, SolveOptions, load_enterprise1, solve
 from repro.baselines import asis_plan
 from repro.migration import MigrationConfig, plan_migration
 
@@ -21,7 +21,7 @@ def main() -> None:
     state = load_enterprise1(scale=scale)
 
     current = asis_plan(state)
-    options = PlannerOptions(solver_options={"mip_rel_gap": 0.005})
+    options = PlannerOptions(solve_options=SolveOptions(mip_rel_gap=0.005))
     plan = solve(state, options=options).plan
     print(
         f"Monthly bill: ${current.total_cost:,.0f} (as-is) → "

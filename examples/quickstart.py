@@ -10,7 +10,7 @@ savings against doing nothing.
 
 import sys
 
-from repro import PlannerOptions, load_enterprise1, solve, asis_plan
+from repro import PlannerOptions, SolveOptions, load_enterprise1, solve, asis_plan
 from repro.io import render_plan_report
 
 
@@ -19,7 +19,7 @@ def main() -> None:
     state = load_enterprise1(scale=scale)
 
     current = asis_plan(state)
-    options = PlannerOptions(solver_options={"mip_rel_gap": 0.005})
+    options = PlannerOptions(solve_options=SolveOptions(mip_rel_gap=0.005))
     plan = solve(state, options=options).plan
 
     print(render_plan_report(state, plan))

@@ -12,26 +12,26 @@ simultaneous failures outran a shared pool).
 
 import sys
 
-from repro import PlannerOptions, load_enterprise1, solve
+from repro import PlannerOptions, SolveOptions, load_enterprise1, solve
 from repro.sim import FailureModelConfig, SimulatorConfig, compare_resilience
 
 
 def main() -> None:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.2
     state = load_enterprise1(scale=scale)
-    solver = {"mip_rel_gap": 0.02, "time_limit": 120}
+    solver = SolveOptions(mip_rel_gap=0.02, time_limit=120)
 
     plans = {
         "no-dr": solve(
-            state, options=PlannerOptions(solver_options=solver)
+            state, options=PlannerOptions(solve_options=solver)
         ).plan,
         "shared-pools": solve(
-            state, options=PlannerOptions(enable_dr=True, solver_options=solver)
+            state, options=PlannerOptions(enable_dr=True, solve_options=solver)
         ).plan,
         "dedicated": solve(
             state,
             options=PlannerOptions(
-                enable_dr=True, dedicated_backups=True, solver_options=solver
+                enable_dr=True, dedicated_backups=True, solve_options=solver
             ),
         ).plan,
     }

@@ -22,9 +22,8 @@ paths: :func:`solve` is the unified planning entry point (``method`` of
 a typed :class:`PlanResult`), :class:`ETransformPlanner` /
 :class:`PlannerOptions` the full facade, :class:`IterativeSession` the
 admin refinement loop, and :class:`SolveOptions` the knobs for the
-optimization engine underneath.  The pre-1.1 helpers
-(:func:`plan_consolidation`, :func:`greedy_plan`, and the LP-level
-``repro.lp.solve``) keep working as deprecated shims.
+optimization engine underneath.  LP-level models are solved by
+``repro.lp.solve``.
 """
 
 from .core import (
@@ -41,12 +40,11 @@ from .core import (
     TransformationPlan,
     UserLocation,
     evaluate_plan,
-    plan_consolidation,
 )
 from .api import METHODS, PlanResult, solve
 from .lp import SolveCache, SolveOptions
 from .analysis import run_robustness, run_sensitivity
-from .baselines import asis_plan, asis_with_dr_plan, greedy_plan, manual_plan
+from .baselines import asis_plan, asis_with_dr_plan, manual_plan
 from .core import improve_plan, split_oversized_groups
 from .migration import MigrationConfig, plan_migration
 from .online import ControllerConfig, OnlineController, ReplayConfig, run_replay
@@ -91,7 +89,6 @@ __all__ = [
     "asis_plan",
     "asis_with_dr_plan",
     "evaluate_plan",
-    "greedy_plan",
     "improve_plan",
     "plan_migration",
     "run_replay",
@@ -105,6 +102,5 @@ __all__ = [
     "load_federal",
     "load_florida",
     "manual_plan",
-    "plan_consolidation",
     "tradeoff_line_scenario",
 ]

@@ -24,26 +24,19 @@ Every engine returns the same typed :class:`PlanResult` carrying the
 plan, the resolved method, the solver's :class:`SolveStats`, and the
 lower bound / relative gap when the engine certifies one.
 
-The legacy entry points (:func:`repro.core.planner.plan_consolidation`,
-:meth:`ETransformPlanner.plan`, :func:`repro.baselines.greedy_plan`)
-are thin deprecated wrappers over this function.  For backward
-compatibility ``repro.solve`` also still accepts a raw
-:class:`repro.lp.Problem` (the pre-redesign LP-level signature) and
-forwards it to :func:`repro.lp.solve` with a :class:`DeprecationWarning`
-— import it from ``repro.lp`` instead.
+LP-level models (:class:`repro.lp.Problem`) are solved by
+:func:`repro.lp.solve`, not here.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .core.decomposition import DecompositionConfig, solve_decomposition
 from .core.entities import AsIsState
 from .core.plan import TransformationPlan
 from .core.planner import ETransformPlanner, PlannerOptions, PlanningError
-from .lp.problem import Problem
 from .telemetry import SolveStats
 
 __all__ = [
@@ -97,11 +90,11 @@ def resolve_method(state: AsIsState, options: PlannerOptions) -> str:
 
 
 def solve(
-    state: AsIsState | Problem,
+    state: AsIsState,
     *,
     method: str | None = None,
     options: PlannerOptions | None = None,
-    **legacy,
+    **stray,
 ) -> PlanResult:
     """Plan a consolidation for ``state`` with the selected engine.
 
@@ -121,20 +114,9 @@ def solve(
     PlanResult
         Plan, resolved method, solver stats, bound and gap.
     """
-    if isinstance(state, Problem):
-        # Pre-redesign signature: repro.solve(problem, backend=...).
-        warnings.warn(
-            "repro.solve(problem, ...) now lives at repro.lp.solve; the "
-            "top-level solve() plans AsIsState estates",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from .lp.solvers import solve as lp_solve
-
-        return lp_solve(state, **legacy)
-    if legacy:
+    if stray:
         raise TypeError(
-            f"solve() got unexpected keyword arguments {sorted(legacy)}; "
+            f"solve() got unexpected keyword arguments {sorted(stray)}; "
             "pass solver settings through options=PlannerOptions(...)"
         )
 
@@ -162,7 +144,7 @@ def solve(
         )
 
     if chosen == "decomposition":
-        solve_opts = options.resolved_solve_options()
+        solve_opts = options.solve_options
         config = DecompositionConfig(
             jobs=options.jobs,
             time_limit=solve_opts.time_limit,

@@ -1,7 +1,7 @@
 """Comparison algorithms: as-is evaluation, manual and greedy heuristics."""
 
 from .asis import ASIS_BACKUP_SITE, asis_plan, asis_with_dr_plan
-from .greedy import GreedyPlanError, greedy_plan, run_greedy
+from .greedy import GreedyPlanError, run_greedy
 from .manual import ManualPlanError, manual_plan
 
 __all__ = [
@@ -10,7 +10,6 @@ __all__ = [
     "ManualPlanError",
     "asis_plan",
     "asis_with_dr_plan",
-    "greedy_plan",
     "manual_plan",
     "run_greedy",
 ]

@@ -34,6 +34,7 @@ from .experiments import (
     tables,
 )
 from .io import load_state, render_plan_report, save_plan, save_state
+from .lp import SolveOptions
 
 
 class CliInputError(Exception):
@@ -70,11 +71,6 @@ def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
     parser.add_argument("--mip-gap", type=float, default=None, metavar="FRACTION")
     parser.add_argument(
-        "--presolve",
-        action="store_true",
-        help="run the safe presolve reductions before the real solve",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="print per-solve search statistics (nodes, iterations, gap, presolve)",
@@ -87,13 +83,12 @@ def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _solver_options(args: argparse.Namespace) -> dict:
-    options: dict = {}
-    if args.time_limit is not None:
-        options["time_limit"] = args.time_limit
-    if args.mip_gap is not None:
-        options["mip_rel_gap"] = args.mip_gap
-    return options
+def _solve_options(args: argparse.Namespace) -> SolveOptions:
+    try:
+        options = SolveOptions(time_limit=args.time_limit, mip_rel_gap=args.mip_gap)
+        return options.validate_for(args.backend)
+    except ValueError as exc:
+        raise CliInputError(str(exc)) from None
 
 
 def _maybe_print_stats(args: argparse.Namespace, stats) -> None:
@@ -136,9 +131,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             wan_model=args.wan_model,
             enable_dr=args.dr,
             backend=args.backend,
-            solver_options=_solver_options(args),
+            solve_options=_solve_options(args),
             lp_export_path=args.lp_export,
-            presolve=args.presolve,
             method=args.method,
             jobs=args.jobs,
         )
@@ -166,7 +160,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         enable_dr=args.dr,
         backend=args.backend,
         wan_model=args.wan_model,
-        solver_options=_solver_options(args),
+        solve_options=_solve_options(args),
     )
     print(tables.render_comparison(result))
     _maybe_print_stats(args, result.etransform.solve_stats)
@@ -181,17 +175,17 @@ def _cmd_asis(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    options = _solver_options(args)
+    options = _solve_options(args)
     if args.kind == "latency":
         result = run_latency_sweep(
-            backend=args.backend, solver_options=options, jobs=args.jobs
+            backend=args.backend, solve_options=options, jobs=args.jobs
         )
         for key in ("total_cost", "space_cost", "mean_latency_ms"):
             print(tables.render_latency_sweep(result, key))
             print()
     else:
         result = run_dr_cost_sweep(
-            backend=args.backend, solver_options=options, jobs=args.jobs
+            backend=args.backend, solve_options=options, jobs=args.jobs
         )
         print(tables.render_dr_sweep(result))
     return 0
@@ -203,7 +197,7 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
     state = _load_state_checked(args.input)
     options = PlannerOptions(
         enable_dr=args.dr, backend=args.backend,
-        solver_options=_solver_options(args), presolve=args.presolve,
+        solve_options=_solve_options(args),
     )
     plan = ETransformPlanner(state, options).build_plan()
     config = MigrationConfig(
@@ -222,7 +216,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     state = _load_state_checked(args.input)
     options = PlannerOptions(
         enable_dr=args.dr, backend=args.backend,
-        solver_options=_solver_options(args), presolve=args.presolve,
+        solve_options=_solve_options(args),
     )
     plan = ETransformPlanner(state, options).build_plan()
     config = SimulatorConfig(
@@ -242,8 +236,7 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
 
     state = _load_state_checked(args.input)
     options = PlannerOptions(backend=args.backend,
-                             solver_options=_solver_options(args),
-                             presolve=args.presolve)
+                             solve_options=_solve_options(args))
     result = run_sensitivity(state, args.dimension, options=options)
     print(result.render())
     return 0
@@ -254,8 +247,7 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
 
     state = _load_state_checked(args.input)
     options = PlannerOptions(backend=args.backend,
-                             solver_options=_solver_options(args),
-                             presolve=args.presolve)
+                             solve_options=_solve_options(args))
     result = run_robustness(
         state, sigma=args.sigma, samples=args.samples, options=options
     )
@@ -306,8 +298,7 @@ def _cmd_refine(args: argparse.Namespace) -> int:
         return 2
     options = PlannerOptions(
         backend=args.backend,
-        solver_options=_solver_options(args),
-        presolve=args.presolve,
+        solve_options=_solve_options(args),
     )
     session = IterativeSession(state, options, incremental=not args.cold)
     mode = "cold rebuild" if args.cold else "incremental"
@@ -394,8 +385,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         raise CliInputError(str(exc)) from None
     options = PlannerOptions(
         backend=args.backend,
-        solver_options=_solver_options(args),
-        presolve=args.presolve,
+        solve_options=_solve_options(args),
     )
     result = run_replay(state, load_events, outages, config, options)
 

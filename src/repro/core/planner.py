@@ -10,17 +10,9 @@ modification.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
-from ..lp import (
-    SolveCache,
-    SolveOptions,
-    SolveStatus,
-    solve,
-    solve_with_presolve,
-    write_lp_file,
-)
+from ..lp import SolveCache, SolveOptions, SolveStatus, solve, write_lp_file
 from .formulation import ConsolidationModel, ModelOptions
 from .entities import AsIsState
 from .plan import TransformationPlan, evaluate_plan
@@ -35,15 +27,11 @@ class PlanningError(RuntimeError):
 class PlannerOptions:
     """End-to-end planning options (model + solver).
 
-    ``solve_options`` is the typed way to configure the solver (a
-    :class:`repro.lp.SolveOptions`); the legacy ``solver_options`` dict
-    (``time_limit``, ``mip_rel_gap``, ``node_limit``, ...) still works
-    and is mapped onto the same record — set one or the other, not both.
-    ``lp_export_path`` optionally dumps the model in CPLEX LP format
-    before solving, mirroring the paper's LP-file hand-off.
-    ``presolve`` routes the solve through
-    :func:`repro.lp.solve_with_presolve`, so the plan's solver stats
-    also report rows/columns eliminated before the real solve.
+    ``solve_options`` configures the solver (a
+    :class:`repro.lp.SolveOptions`; on the wire it travels as the
+    ``solver_options`` object).  ``lp_export_path`` optionally dumps the
+    model in CPLEX LP format before solving, mirroring the paper's
+    LP-file hand-off.
 
     ``method`` selects the planning engine for :func:`repro.solve`
     (``"auto"``, ``"milp"``, ``"decomposition"`` or ``"greedy"``);
@@ -56,11 +44,9 @@ class PlannerOptions:
     enable_dr: bool = False
     dedicated_backups: bool = False
     backend: str = "auto"
-    solver_options: dict = field(default_factory=dict)
-    solve_options: SolveOptions | None = None
+    solve_options: SolveOptions = field(default_factory=SolveOptions)
     lp_export_path: str | None = None
     validate_inputs: bool = True
-    presolve: bool = False
     method: str = "auto"
     jobs: int = 1
 
@@ -75,7 +61,6 @@ class PlannerOptions:
         "dedicated_backups",
         "backend",
         "solver_options",
-        "presolve",
         "method",
         "jobs",
     )
@@ -102,7 +87,10 @@ class PlannerOptions:
         The planning service feeds request bodies through this; only the
         :data:`WIRE_FIELDS` subset is accepted — deliberately *not*
         ``lp_export_path`` (a remote caller must not name server-side
-        files) nor ``validate_inputs``.
+        files) nor ``validate_inputs``.  ``solver_options`` is parsed into
+        a :class:`SolveOptions` and checked against ``backend``, so a bad
+        key or value, or one the backend would ignore, raises
+        ``ValueError`` here rather than in a worker.
         """
         data = dict(data or {})
         unknown = sorted(set(data) - set(cls.WIRE_FIELDS))
@@ -111,9 +99,8 @@ class PlannerOptions:
                 f"unknown planner option(s): {', '.join(unknown)} "
                 f"(accepted: {', '.join(cls.WIRE_FIELDS)})"
             )
-        solver_options = data.pop("solver_options", {})
-        if not isinstance(solver_options, dict):
-            raise ValueError("solver_options must be an object")
+        solve_options = SolveOptions.from_wire(data.pop("solver_options", {}))
+        solve_options.validate_for(data.get("backend", cls.backend))
         if "jobs" in data:
             jobs = data["jobs"]
             if isinstance(jobs, bool) or not isinstance(jobs, int):
@@ -122,7 +109,7 @@ class PlannerOptions:
                 raise ValueError(
                     f"jobs must be between 0 and {cls.MAX_WIRE_JOBS}, got {jobs}"
                 )
-        return cls(solver_options=dict(solver_options), **data)
+        return cls(solve_options=solve_options, **data)
 
     def as_wire(self) -> dict:
         """The :data:`WIRE_FIELDS` subset as a JSON-safe dict."""
@@ -132,8 +119,7 @@ class PlannerOptions:
             "enable_dr": self.enable_dr,
             "dedicated_backups": self.dedicated_backups,
             "backend": self.backend,
-            "solver_options": dict(self.solver_options),
-            "presolve": self.presolve,
+            "solver_options": self.solve_options.non_default_fields(),
             "method": self.method,
             "jobs": self.jobs,
         }
@@ -145,17 +131,6 @@ class PlannerOptions:
             enable_dr=self.enable_dr,
             dedicated_backups=self.dedicated_backups,
         )
-
-    def resolved_solve_options(self) -> SolveOptions:
-        """The typed solver options, folding in the legacy dict form."""
-        if self.solve_options is not None:
-            if self.solver_options:
-                raise ValueError(
-                    "set either solve_options or the legacy solver_options "
-                    "dict, not both"
-                )
-            return self.solve_options
-        return SolveOptions(**self.solver_options)
 
 
 class ETransformPlanner:
@@ -192,46 +167,23 @@ class ETransformPlanner:
         """
         return self.finish_plan(self.solve_model())
 
-    def plan(self) -> TransformationPlan:
-        """Deprecated alias of :meth:`build_plan`.
-
-        Use :func:`repro.solve` (which also unlocks the decomposition
-        and greedy engines via ``method=``) or :meth:`build_plan`.
-        """
-        warnings.warn(
-            "ETransformPlanner.plan() is deprecated; use "
-            "repro.solve(state, options=...) or build_plan()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.build_plan()
-
     def solve_model(self, cache: SolveCache | None = None):
         """Solve the built model and return the raw solution.
 
         ``cache`` routes the solve through a :class:`repro.lp.SolveCache`
         so a refinement session's re-solves can reuse previous work; the
         incremental engine (:mod:`repro.core.incremental`) passes the
-        session cache here.  Presolve rebuilds a reduced problem per
-        call, so it bypasses the cache.
+        session cache here.
         """
         if self.options.lp_export_path:
             write_lp_file(self.model.problem, self.options.lp_export_path)
 
-        solve_options = self.options.resolved_solve_options()
-        if self.options.presolve:
-            solution = solve_with_presolve(
-                self.model.problem,
-                backend=self.options.backend,
-                options=solve_options,
-            )
-        else:
-            solution = solve(
-                self.model.problem,
-                backend=self.options.backend,
-                options=solve_options,
-                cache=cache,
-            )
+        solution = solve(
+            self.model.problem,
+            backend=self.options.backend,
+            options=self.options.solve_options,
+            cache=cache,
+        )
         self.last_solution = solution
         if solution.status is SolveStatus.INFEASIBLE:
             raise PlanningError(
@@ -269,34 +221,3 @@ class ETransformPlanner:
         plan.solver_stats = solution.stats
         validate_plan(state, plan)
         return plan
-
-
-def plan_consolidation(
-    state: AsIsState,
-    enable_dr: bool = False,
-    backend: str = "auto",
-    wan_model: str = "metered",
-    economies_of_scale: bool = True,
-    **solver_options,
-) -> TransformationPlan:
-    """Deprecated one-call wrapper; use :func:`repro.solve` instead.
-
-    Kept as a thin shim over the unified entry point — it always runs
-    the monolithic MILP engine, exactly as it did before the redesign.
-    """
-    warnings.warn(
-        "plan_consolidation() is deprecated; use "
-        "repro.solve(state, method='milp', options=PlannerOptions(...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..api import solve as unified_solve
-
-    options = PlannerOptions(
-        wan_model=wan_model,
-        economies_of_scale=economies_of_scale,
-        enable_dr=enable_dr,
-        backend=backend,
-        solver_options=solver_options,
-    )
-    return unified_solve(state, method="milp", options=options).plan

@@ -13,6 +13,7 @@ from ..baselines import asis_plan, asis_with_dr_plan, manual_plan, run_greedy
 from ..core.entities import AsIsState
 from ..core.planner import PlannerOptions, ETransformPlanner
 from ..datasets import load_enterprise1, load_federal, load_florida
+from ..lp import SolveOptions
 from .harness import AlgorithmResult, timed_plan
 
 #: Dataset-name → loader, in the paper's order.
@@ -59,11 +60,9 @@ def run_comparison(
     backend: str = "auto",
     wan_model: str = "metered",
     manual_k: int = 2,
-    solver_options: dict | None = None,
+    solve_options: SolveOptions | None = None,
 ) -> ComparisonResult:
     """Run the full four-way comparison on one as-is state."""
-    solver_options = dict(solver_options or {})
-
     if enable_dr:
         asis = timed_plan("as-is", lambda: asis_with_dr_plan(state, wan_model=wan_model))
     else:
@@ -81,7 +80,7 @@ def run_comparison(
         wan_model=wan_model,
         enable_dr=enable_dr,
         backend=backend,
-        solver_options=solver_options,
+        solve_options=solve_options or SolveOptions(),
     )
     etransform = timed_plan(
         "etransform", lambda: ETransformPlanner(state, options).build_plan()
@@ -116,7 +115,7 @@ def run_case_studies(
     datasets: tuple[str, ...] = ("enterprise1", "florida", "federal"),
     scales: dict[str, float] | None = None,
     backend: str = "auto",
-    solver_options: dict | None = None,
+    solve_options: SolveOptions | None = None,
 ) -> CaseStudySuite:
     """Run Fig. 4 (or, with ``enable_dr``, Fig. 6) across the case studies.
 
@@ -138,7 +137,7 @@ def run_case_studies(
                 state,
                 enable_dr=enable_dr,
                 backend=backend,
-                solver_options=solver_options,
+                solve_options=solve_options,
             )
         )
     return suite

@@ -16,8 +16,9 @@ from functools import partial
 from ..api import solve as unified_solve
 from ..core.planner import PlannerOptions
 from ..datasets.scenarios import latency_line_scenario
+from ..lp import SolveOptions
 from ..parallel import parallel_map
-from .harness import SweepPoint
+from .harness import SweepPoint, fill_unset
 
 #: The paper's decade sweep of ζ.
 DEFAULT_DR_COSTS = (1.0, 10.0, 100.0, 1000.0, 10_000.0)
@@ -28,7 +29,7 @@ def _dr_point(
     backend: str,
     n_groups: int,
     total_servers: int,
-    solver_options: dict,
+    solve_options: SolveOptions,
 ) -> SweepPoint:
     """Solve one ζ point (module-level so it can cross a process boundary)."""
     state = latency_line_scenario(
@@ -44,7 +45,7 @@ def _dr_point(
         state,
         method="milp",
         options=PlannerOptions(
-            enable_dr=True, backend=backend, solver_options=solver_options
+            enable_dr=True, backend=backend, solve_options=solve_options
         ),
     ).plan
     return SweepPoint(
@@ -79,7 +80,7 @@ def run_dr_cost_sweep(
     backend: str = "auto",
     n_groups: int = 80,
     total_servers: int = 450,
-    solver_options: dict | None = None,
+    solve_options: SolveOptions | None = None,
     jobs: int = 1,
 ) -> DRCostSweepResult:
     """Reproduce Fig. 8.
@@ -93,16 +94,14 @@ def run_dr_cost_sweep(
     Each ζ point is an independent solve; ``jobs > 1`` fans them out
     across worker processes.
     """
-    solver_options = dict(solver_options or {})
-    solver_options.setdefault("mip_rel_gap", 0.02)
-    solver_options.setdefault("time_limit", 60)
+    solve_options = fill_unset(solve_options, mip_rel_gap=0.02, time_limit=60)
     points = parallel_map(
         partial(
             _dr_point,
             backend=backend,
             n_groups=n_groups,
             total_servers=total_servers,
-            solver_options=solver_options,
+            solve_options=solve_options,
         ),
         dr_costs,
         jobs=jobs,

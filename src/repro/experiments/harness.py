@@ -1,38 +1,32 @@
-"""Shared experiment plumbing: result records, timing, parallel fan-out.
+"""Shared experiment plumbing: result records and timing.
 
 Every experiment module returns plain dataclasses so benchmarks can both
 assert the paper's qualitative shape and print the same rows/series the
 paper reports (:mod:`repro.experiments.tables` renders them).
-
-The process-level fan-out that used to live here (``parallel_map``,
-CLI ``--jobs N``) moved to the shared :mod:`repro.parallel` module so
-the decomposition engine's pricing loop can use it too; importing it
-from this module still works but raises a :class:`DeprecationWarning`.
+Process fan-out lives in :mod:`repro.parallel`.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 
 from ..core.entities import AsIsState
 from ..core.plan import TransformationPlan
+from ..lp import SolveOptions
 from ..telemetry import SolveStats
 
 
-def __getattr__(name: str):
-    if name == "parallel_map":
-        warnings.warn(
-            "repro.experiments.harness.parallel_map moved to "
-            "repro.parallel.parallel_map; this alias will be removed",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from ..parallel import parallel_map
+def fill_unset(options: SolveOptions | None, **defaults) -> SolveOptions:
+    """``options`` (or the defaults) with each unset field of ``defaults`` filled.
 
-        return parallel_map
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    A field counts as unset while it is ``None``, so a caller's own
+    ``time_limit`` or ``mip_rel_gap`` always wins over an experiment's.
+    """
+    options = options or SolveOptions()
+    return options.replace(
+        **{k: v for k, v in defaults.items() if getattr(options, k) is None}
+    )
 
 
 @dataclass

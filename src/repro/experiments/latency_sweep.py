@@ -16,8 +16,9 @@ from ..core.plan import TransformationPlan
 from ..api import solve as unified_solve
 from ..core.planner import PlannerOptions
 from ..datasets.scenarios import latency_line_scenario
+from ..lp import SolveOptions
 from ..parallel import parallel_map
-from .harness import SweepPoint, SweepSeries
+from .harness import SweepPoint, SweepSeries, fill_unset
 
 #: The paper's five user splits, as fraction of users at location 0
 #: (west end).  1.0 = "All users in location 0".
@@ -71,7 +72,7 @@ def _latency_point(
     backend: str,
     n_groups: int,
     total_servers: int,
-    solver_options: dict,
+    solve_options: SolveOptions,
 ) -> SweepPoint:
     """Solve one (split, penalty) point (module-level for process fan-out)."""
     split, penalty = task
@@ -84,7 +85,7 @@ def _latency_point(
     plan = unified_solve(
         state,
         method="milp",
-        options=PlannerOptions(backend=backend, solver_options=solver_options),
+        options=PlannerOptions(backend=backend, solve_options=solve_options),
     ).plan
     return SweepPoint(
         parameter=penalty,
@@ -103,7 +104,7 @@ def run_latency_sweep(
     backend: str = "auto",
     n_groups: int = 190,
     total_servers: int = 1070,
-    solver_options: dict | None = None,
+    solve_options: SolveOptions | None = None,
     jobs: int = 1,
 ) -> LatencySweepResult:
     """Reproduce Fig. 7 (a, b, c).
@@ -111,8 +112,7 @@ def run_latency_sweep(
     Every (user split, penalty) point is an independent solve; ``jobs >
     1`` fans the grid out across worker processes.
     """
-    solver_options = dict(solver_options or {})
-    solver_options.setdefault("mip_rel_gap", 1e-4)
+    solve_options = fill_unset(solve_options, mip_rel_gap=1e-4)
     tasks = [(split, penalty) for split in user_splits for penalty in penalties]
     points = parallel_map(
         partial(
@@ -120,7 +120,7 @@ def run_latency_sweep(
             backend=backend,
             n_groups=n_groups,
             total_servers=total_servers,
-            solver_options=solver_options,
+            solve_options=solve_options,
         ),
         tasks,
         jobs=jobs,

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from ..api import solve as unified_solve
 from ..core.planner import PlannerOptions
 from ..datasets.scenarios import tradeoff_line_scenario
+from ..lp import SolveOptions
+from .harness import fill_unset
 from .tradeoff import price_bundle_everywhere
 
 #: The paper's x-axis.
@@ -54,11 +56,10 @@ class PlacementGrowthResult:
 def run_placement_growth(
     group_counts: tuple[int, ...] = DEFAULT_GROUP_COUNTS,
     backend: str = "auto",
-    solver_options: dict | None = None,
+    solve_options: SolveOptions | None = None,
 ) -> PlacementGrowthResult:
     """Reproduce Fig. 10."""
-    solver_options = dict(solver_options or {})
-    solver_options.setdefault("mip_rel_gap", 1e-4)
+    solve_options = fill_unset(solve_options, mip_rel_gap=1e-4)
     result = PlacementGrowthResult()
 
     # Ground truth: the per-bundle total-cost order of the locations.
@@ -74,7 +75,7 @@ def run_placement_growth(
             state,
             method="milp",
             options=PlannerOptions(
-                backend=backend, wan_model="vpn", solver_options=solver_options
+                backend=backend, wan_model="vpn", solve_options=solve_options
             ),
         ).plan
         fill = Counter(plan.placement.values())

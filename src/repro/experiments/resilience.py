@@ -13,12 +13,14 @@ from dataclasses import dataclass, field
 
 from ..core.entities import AsIsState
 from ..core.planner import ETransformPlanner, PlannerOptions
+from ..lp import SolveOptions
 from ..sim import (
     FailureModelConfig,
     SimulationReport,
     SimulatorConfig,
     compare_resilience,
 )
+from .harness import fill_unset
 
 
 @dataclass
@@ -69,17 +71,15 @@ def run_resilience(
     mttr_hours: float = 120.0,
     seed: int = 7,
     backend: str = "auto",
-    solver_options: dict | None = None,
+    solve_options: SolveOptions | None = None,
 ) -> ResilienceResult:
     """Plan the three designs and simulate them under shared outages."""
-    solver_options = dict(solver_options or {})
-    solver_options.setdefault("mip_rel_gap", 0.02)
-    solver_options.setdefault("time_limit", 120)
+    solve_options = fill_unset(solve_options, mip_rel_gap=0.02, time_limit=120)
 
     def planner(**kw) -> ETransformPlanner:
         return ETransformPlanner(
             state,
-            PlannerOptions(backend=backend, solver_options=solver_options, **kw),
+            PlannerOptions(backend=backend, solve_options=solve_options, **kw),
         )
 
     plans = {

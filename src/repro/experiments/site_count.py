@@ -16,6 +16,8 @@ from ..core.entities import AsIsState
 from ..core.formulation import InfeasibleModelError
 from ..core.planner import ETransformPlanner, PlannerOptions, PlanningError
 from ..core.validation import StateValidationError
+from ..lp import SolveOptions
+from .harness import fill_unset
 
 
 @dataclass
@@ -72,12 +74,11 @@ def run_site_count(
     state: AsIsState,
     counts: tuple[int, ...] | None = None,
     backend: str = "auto",
-    solver_options: dict | None = None,
+    solve_options: SolveOptions | None = None,
 ) -> SiteCountResult:
     """Sweep prefixes of the candidate-site list (cheapest-diverse order
     as generated) and re-optimize for each."""
-    solver_options = dict(solver_options or {})
-    solver_options.setdefault("mip_rel_gap", 0.01)
+    solve_options = fill_unset(solve_options, mip_rel_gap=0.01)
     total = len(state.target_datacenters)
     if counts is None:
         counts = tuple(range(1, total + 1))
@@ -89,7 +90,7 @@ def run_site_count(
         subset = replace(
             state, target_datacenters=state.target_datacenters[:count]
         )
-        options = PlannerOptions(backend=backend, solver_options=solver_options)
+        options = PlannerOptions(backend=backend, solve_options=solve_options)
         try:
             plan = ETransformPlanner(subset, options).build_plan()
         except (PlanningError, StateValidationError, InfeasibleModelError):

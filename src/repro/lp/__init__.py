@@ -25,7 +25,6 @@ from .lpparse import LPParseError, parse_lp_string, read_lp_file
 from .master import MasterSolution, RestrictedMasterLP
 from .mpsformat import write_mps_file, write_mps_string
 from .options import SolveOptions
-from .presolve import PresolveInfeasible, presolve, solve_with_presolve
 from .problem import ObjectiveSense, Problem
 from .revised_simplex import RevisedResult, SparseBoundedLP, solve_bounded_lp
 from .solution import Solution, SolveStatus
@@ -52,10 +51,7 @@ __all__ = [
     "problem_fingerprint",
     "structure_fingerprint",
     "parse_lp_string",
-    "presolve",
-    "PresolveInfeasible",
     "read_lp_file",
-    "solve_with_presolve",
     "Sense",
     "Solution",
     "SolveStats",

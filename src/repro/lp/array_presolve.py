@@ -1,9 +1,6 @@
 """Array-level presolve over the CSC constraint blocks.
 
-:mod:`repro.lp.presolve` reduces *models* (``Problem`` objects) by
-rewriting expressions; that is the right layer for the public
-``solve_with_presolve`` entry point but far too slow to sit in front of
-every relaxation build.  This module is the matrix-space counterpart: it
+The library's one presolve (HiGHS also runs its own internally).  It
 works directly on the ``(a_ub, b_ub, a_eq, b_eq, lb, ub)`` arrays that
 :class:`~repro.lp.matrix_lp.RelaxationContext` and
 :func:`~repro.lp.matrix_lp.solve_lp_arrays` already carry, using the
@@ -19,10 +16,10 @@ Reductions (classic and exact):
 * **activity-based bound tightening** propagates each row's residual
   min/max activity onto every support column;
 * **integer bound snapping** pulls fractional bounds of integral
-  columns onto the integer hull;
-* optional **empty-column fixing** moves cost-only columns to their
-  attractive bound (one-shot solves only — never under branch and
-  bound, where a later branch could tighten the column again).
+  columns onto the integer hull.
+
+Columns whose tightened box collapses to ``lb == ub`` are counted as
+fixed (``cols_fixed``).
 
 Branch-and-bound validity: every reduction above is derived from the
 *root* bounds, so it stays valid for any node whose box is contained in
@@ -55,9 +52,9 @@ class ArrayPresolveResult:
     """Reductions found by :func:`presolve_arrays`.
 
     ``keep_ub``/``keep_eq`` are row masks over the original blocks;
-    ``lb``/``ub`` are the tightened root bounds.  Counters mirror the
-    model-level :class:`~repro.lp.presolve.PresolveStats` so telemetry
-    can merge either source.
+    ``lb``/``ub`` are the tightened root bounds.  ``cols_fixed`` counts
+    the columns open on entry whose tightened box collapsed to
+    ``lb == ub``.  The counters feed ``SolveStats.merge_presolve``.
     """
 
     keep_ub: np.ndarray
@@ -297,47 +294,7 @@ def _snap_integer_bounds(
     return changed
 
 
-def _fix_empty_columns(
-    c: np.ndarray,
-    blocks: list[_Block],
-    lb: np.ndarray,
-    ub: np.ndarray,
-    integral: np.ndarray | None,
-    result: ArrayPresolveResult,
-) -> None:
-    """Fix columns that appear in no live row at their attractive bound.
-
-    Only called on one-shot solves: under branch and bound a later node
-    could tighten the column past the value chosen here.
-    """
-    n = lb.shape[0]
-    col_cnt = np.zeros(n, dtype=np.int64)
-    for block in blocks:
-        ent = block.keep[block.rows]
-        if ent.any():
-            np.add.at(col_cnt, block.cols[ent], 1)
-    for jj in np.flatnonzero((col_cnt == 0) & (ub - lb > _IMPROVE_TOL)):
-        cost = c[jj]
-        if cost > _IMPROVE_TOL:
-            target = lb[jj]
-        elif cost < -_IMPROVE_TOL:
-            target = ub[jj]
-        else:
-            target = lb[jj] if np.isfinite(lb[jj]) else ub[jj]
-            if not np.isfinite(target):
-                target = 0.0
-        if not np.isfinite(target):
-            continue  # cost pulls to an open end: let the solver prove unbounded
-        if integral is not None and integral[jj]:
-            if abs(target - round(target)) > _INT_TOL:
-                continue
-            target = float(round(target))
-        lb[jj] = ub[jj] = target
-        result.cols_fixed += 1
-
-
 def presolve_arrays(
-    c: np.ndarray,
     a_ub,
     b_ub: np.ndarray,
     a_eq,
@@ -345,7 +302,6 @@ def presolve_arrays(
     lb: np.ndarray,
     ub: np.ndarray,
     integrality: np.ndarray | None = None,
-    fix_empty_columns: bool = False,
     max_rounds: int = 4,
 ) -> ArrayPresolveResult:
     """Reduce an array-form LP/MILP; exact, bound-box monotone.
@@ -354,10 +310,9 @@ def presolve_arrays(
     Returns row keep-masks plus tightened bounds; the caller slices its
     own representation (dense or CSC) with the masks.
     """
-    c = np.asarray(c, dtype=float)
     lb = np.array(lb, dtype=float, copy=True)
     ub = np.array(ub, dtype=float, copy=True)
-    n = lb.shape[0]
+    open_on_entry = lb < ub
     integral = None
     if integrality is not None:
         integral = np.asarray(integrality).astype(bool)
@@ -415,8 +370,7 @@ def presolve_arrays(
             _crossing_check()
             if not changed:
                 break
-        if fix_empty_columns:
-            _fix_empty_columns(c, blocks, lb, ub, integral, result)
+        result.cols_fixed = int((open_on_entry & (lb == ub)).sum())
     except _Infeasible as exc:
         result.infeasible = True
         result.message = str(exc)

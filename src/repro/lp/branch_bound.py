@@ -352,6 +352,7 @@ def solve_branch_and_bound(
         getattr(context, "extension_dual_entries", 0),
     )
     stats.merge_presolve(
+        fixed_variables=getattr(context, "presolve_cols_fixed", 0),
         dropped_constraints=getattr(context, "presolve_rows_dropped", 0),
         tightened_bounds=getattr(context, "presolve_bounds_tightened", 0),
         rounds=getattr(context, "presolve_rounds", 0),

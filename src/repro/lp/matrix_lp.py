@@ -184,12 +184,11 @@ class RelaxationContext:
         presolve: bool = True,
         integrality: np.ndarray | None = None,
     ) -> None:
+        # "builtin" is the revised core; the dense tableau stays
+        # reachable as "tableau".  Unknown engines are only rejected at
+        # solve() time (constructing a context is cheap and side-effect
+        # free for them).
         self.engine = engine
-        # "builtin" is an alias for the revised core; the dense tableau
-        # stays reachable as "tableau".  Unknown engines are only
-        # rejected at solve() time (constructing a context is cheap and
-        # side-effect free for them).
-        self._mode = {"builtin": "revised", "revised": "revised"}.get(engine, engine)
         self.max_iterations = max_iterations
         self.c = np.asarray(c, dtype=float)
         self.a_ub = np.asarray(a_ub, dtype=float)
@@ -200,8 +199,8 @@ class RelaxationContext:
         self.root_ub = np.array(ub, dtype=float, copy=True)
         # Only the revised core has a dual path; the tableau stays
         # presolve-free so it remains an untouched cross-check oracle.
-        self.node_resolve = node_resolve if self._mode == "revised" else "primal"
-        self.presolve_enabled = bool(presolve) and self._mode in ("revised", "highs")
+        self.node_resolve = node_resolve if self.engine == "builtin" else "primal"
+        self.presolve_enabled = bool(presolve) and self.engine in ("builtin", "highs")
         self._integrality = (
             None if integrality is None else np.asarray(integrality).astype(bool)
         )
@@ -222,6 +221,7 @@ class RelaxationContext:
         self.dual_fallbacks = 0
         self.presolve_rows_dropped = 0
         self.presolve_bounds_tightened = 0
+        self.presolve_cols_fixed = 0
         self.presolve_rounds = 0
         self.presolve_reroots = 0
         self.row_extensions = 0
@@ -243,14 +243,14 @@ class RelaxationContext:
         if self.presolve_enabled:
             self._run_presolve()
 
-        if self._mode == "revised":
+        if self.engine == "builtin":
             start = time.perf_counter()
             self._family = SparseBoundedLP(
                 self.c, self._eff_a_ub, self._eff_b_ub,
                 self._eff_a_eq, self._eff_b_eq,
             )
             self.conversion_seconds += time.perf_counter() - start
-        elif self._mode == "tableau":
+        elif self.engine == "tableau":
             self._build_base()
 
     # -- array presolve ----------------------------------------------------
@@ -265,12 +265,13 @@ class RelaxationContext:
         """
         start = time.perf_counter()
         pre = presolve_arrays(
-            self.c, self.a_ub, self.b_ub, self.a_eq, self.b_eq,
+            self.a_ub, self.b_ub, self.a_eq, self.b_eq,
             self.root_lb, self.root_ub, integrality=self._integrality,
         )
         self.conversion_seconds += time.perf_counter() - start
         self.presolve_rows_dropped += pre.rows_dropped
         self.presolve_bounds_tightened += pre.bounds_tightened
+        self.presolve_cols_fixed += pre.cols_fixed
         self.presolve_rounds += pre.rounds
         metrics.increment("relaxation.presolve_rows_dropped", pre.rows_dropped)
         metrics.increment("relaxation.presolve_bounds_tightened", pre.bounds_tightened)
@@ -318,7 +319,7 @@ class RelaxationContext:
             and np.array_equal(old_keep_ub, self._keep_ub)
             and np.array_equal(old_keep_eq, self._keep_eq)
         )
-        if same_rows or self._mode != "revised":
+        if same_rows or self.engine != "builtin":
             return
         self.structural_rebuilds += 1
         metrics.increment("relaxation.structural_rebuilds")
@@ -353,7 +354,7 @@ class RelaxationContext:
         this context cannot extend (tableau mode), telling the caller to
         rebuild from scratch.
         """
-        if self._mode not in ("revised", "highs"):
+        if self.engine not in ("builtin", "highs"):
             return False
         n = self.c.shape[0]
         a_new = np.asarray(a_new, dtype=float).reshape(-1, n)
@@ -374,7 +375,7 @@ class RelaxationContext:
             self._eff_b_ub = np.concatenate([self._eff_b_ub, b_new])
         self.row_extensions += 1
         metrics.increment("relaxation.row_extensions")
-        if self._mode == "revised":
+        if self.engine == "builtin":
             # The family appends below a_eq so every existing slack id
             # (and with it every outstanding warm token) stays stable.
             m_old = self._family.m
@@ -415,7 +416,7 @@ class RelaxationContext:
         valid (bounds never enter reduced costs).
         """
         pre = presolve_arrays(
-            self.c, self.a_ub, self.b_ub, self.a_eq, self.b_eq,
+            self.a_ub, self.b_ub, self.a_eq, self.b_eq,
             self.root_lb, self.root_ub, integrality=self._integrality,
         )
         self.presolve_rounds += pre.rounds
@@ -461,12 +462,12 @@ class RelaxationContext:
 
         Sound because nothing this context caches depends on ``c``: the
         revised family reads the shared ``c`` array at solve time, HiGHS
-        receives it per call, and the array presolve applies no
-        objective-driven reductions (``fix_empty_columns`` stays off).
+        receives it per call, and the array presolve never reads the
+        objective.
         The tableau's expanded cost columns *are* c-derived, so tableau
         contexts refuse and the caller rebuilds.
         """
-        if self._mode not in ("revised", "highs"):
+        if self.engine not in ("builtin", "highs"):
             return False
         c_new = np.asarray(c_new, dtype=float)
         if c_new.shape != self.c.shape:
@@ -484,16 +485,16 @@ class RelaxationContext:
         current family.
         """
         if (
-            self._mode != "revised"
+            self.engine != "builtin"
             or token is None
             or len(token) != 3
-            or token[0] != "revised"
+            or token[0] != "builtin"
         ):
             return None
         pair = extend_warm_pair(self._family, token[1], token[2])
         if pair is None:
             return None
-        return ("revised", pair[0], pair[1])
+        return ("builtin", pair[0], pair[1])
 
     # -- one-time, fully vectorized base standardization -------------------
 
@@ -595,7 +596,7 @@ class RelaxationContext:
 
         The revised core's column layout never varies with the bounds,
         so every parent basis is structurally transferable; the token is
-        simply ``("revised", basis, vstat)``.
+        simply ``("builtin", basis, vstat)``.
 
         With ``node_resolve="dual"`` (the default) a warm-started node
         re-solve goes through the dual simplex: the parent's basis is
@@ -607,7 +608,7 @@ class RelaxationContext:
         self.cache_hits += 1
         metrics.increment("relaxation.cache_hits")
         warm_pair = None
-        if warm is not None and len(warm) == 3 and warm[0] == "revised":
+        if warm is not None and len(warm) == 3 and warm[0] == "builtin":
             warm_pair = (warm[1], warm[2])
         start = time.perf_counter()
         result = None
@@ -670,7 +671,7 @@ class RelaxationContext:
             objective = float(self.c @ x)
         token = None
         if result.basis is not None:
-            token = ("revised", result.basis, result.vstat)
+            token = ("builtin", result.basis, result.vstat)
         return ArrayLPResult(
             status, x, objective, result.iterations,
             phase1_iterations=result.phase1_iterations,
@@ -733,16 +734,16 @@ class RelaxationContext:
                 # Sub-tolerance crossings from implied-bound rounding:
                 # collapse instead of declaring infeasible.
                 lb = np.minimum(lb, ub)
-        if self._mode == "highs":
+        if self.engine == "highs":
             result = _solve_highs_arrays(
                 self.c, self._eff_a_ub, self._eff_b_ub,
                 self._eff_a_eq, self._eff_b_eq, lb, ub,
             )
             self.solve_seconds += result.solve_seconds
             return result
-        if self._mode == "revised":
+        if self.engine == "builtin":
             return self._solve_revised(lb, ub, warm)
-        if self._mode != "tableau":
+        if self.engine != "tableau":
             raise ValueError(f"unknown LP engine: {self.engine!r}")
 
         if (np.isneginf(lb) & ~self._free).any():

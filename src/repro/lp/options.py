@@ -6,16 +6,11 @@ flags it did not understand (``mip_rel_gap`` on ``branch_bound``,
 replacement: a frozen dataclass carrying every knob any backend accepts,
 plus a per-backend capability table so :func:`SolveOptions.validate_for`
 can reject an option the chosen backend would ignore.
-
-The old keyword style still works through :func:`options_from_kwargs`
-(used by :func:`repro.lp.solve`'s back-compat shim); it emits a
-``DeprecationWarning`` and maps onto the typed record.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, fields
 from typing import Mapping
 
@@ -42,9 +37,8 @@ class SolveOptions:
     relaxation_engine:
         Which LP engine solves node relaxations (``branch_bound``,
         ``rounding``): ``"highs"``, ``"builtin"`` (the sparse revised
-        simplex; ``"revised"`` is an explicit alias), or ``"tableau"``
-        (the historical dense full-tableau simplex, kept for
-        cross-checking).
+        simplex), or ``"tableau"`` (the historical dense full-tableau
+        simplex, kept for cross-checking).
     cover_cut_rounds:
         Rounds of root knapsack cover cuts (``branch_bound``).
     node_resolve:
@@ -87,10 +81,10 @@ class SolveOptions:
             raise ValueError("gap_tolerance cannot be negative")
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
-        if self.relaxation_engine not in ("highs", "builtin", "revised", "tableau"):
+        if self.relaxation_engine not in ("highs", "builtin", "tableau"):
             raise ValueError(
                 f"unknown relaxation engine {self.relaxation_engine!r}; "
-                "expected 'highs', 'builtin', 'revised' or 'tableau'"
+                "expected 'highs', 'builtin' or 'tableau'"
             )
         if self.cover_cut_rounds < 0:
             raise ValueError("cover_cut_rounds cannot be negative")
@@ -99,6 +93,28 @@ class SolveOptions:
                 f"unknown node_resolve {self.node_resolve!r}; "
                 "expected 'dual' or 'primal'"
             )
+
+    @classmethod
+    def from_wire(cls, data: Mapping[str, object]) -> "SolveOptions":
+        """Build options from an untrusted JSON object.
+
+        An unknown key or a value of the wrong JSON type raises
+        ``ValueError`` here; ``__post_init__`` then range-checks the
+        values themselves.
+        """
+        if not isinstance(data, Mapping):
+            raise ValueError("solver_options must be an object")
+        unknown = sorted(set(data) - set(_WIRE_TYPES))
+        if unknown:
+            raise ValueError(
+                f"unknown solver option(s): {', '.join(unknown)} "
+                f"(accepted: {', '.join(_WIRE_TYPES)})"
+            )
+        for name, value in data.items():
+            nullable = value is None and name in _NULLABLE
+            if not nullable and not _wire_value_ok(name, value):
+                raise ValueError(f"solver option {name} has a bad value {value!r}")
+        return cls(**data)
 
     # -- per-backend validation -------------------------------------------
 
@@ -135,10 +151,6 @@ class SolveOptions:
     def replace(self, **changes) -> "SolveOptions":
         """A copy with ``changes`` applied (frozen-dataclass update)."""
         return dataclasses.replace(self, **changes)
-
-    def as_kwargs(self) -> dict[str, object]:
-        """Non-default fields as a keyword dict (for custom backends)."""
-        return self.non_default_fields()
 
 
 #: Which :class:`SolveOptions` fields each built-in backend honours.
@@ -180,26 +192,31 @@ BACKEND_OPTION_FIELDS: dict[str, frozenset[str]] = {
     ),
 }
 
-_VALID_KWARGS = frozenset(f.name for f in fields(SolveOptions))
+#: The JSON type each field takes on the wire (see
+#: :meth:`SolveOptions.from_wire`); fields defaulting to ``None`` also
+#: take ``null``.
+_WIRE_TYPES: dict[str, type | tuple[type, ...]] = {
+    "time_limit": (int, float),
+    "mip_rel_gap": (int, float),
+    "node_limit": int,
+    "gap_tolerance": (int, float),
+    "max_iterations": int,
+    "relaxation_engine": str,
+    "cover_cut_rounds": int,
+    "node_resolve": str,
+    "presolve": bool,
+    "warm_start": dict,
+}
+_NULLABLE = frozenset(f.name for f in fields(SolveOptions) if f.default is None)
 
 
-def options_from_kwargs(backend: str, kwargs: Mapping[str, object]) -> SolveOptions:
-    """Map legacy ``solve(..., **options)`` keywords onto :class:`SolveOptions`.
-
-    Emits a ``DeprecationWarning`` pointing at the typed replacement and
-    rejects keywords that never existed, instead of forwarding them into
-    a backend that would drop them on the floor.
-    """
-    unknown = set(kwargs) - _VALID_KWARGS
-    if unknown:
-        raise TypeError(
-            f"unknown solver option(s) {', '.join(sorted(unknown))}; "
-            f"valid options: {', '.join(sorted(_VALID_KWARGS))}"
+def _wire_value_ok(name: str, value: object) -> bool:
+    kind = _WIRE_TYPES[name]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        return False
+    if name == "warm_start":
+        return all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            for v in value.values()
         )
-    warnings.warn(
-        "passing solver options as keywords is deprecated; build a "
-        "repro.lp.SolveOptions and pass it as solve(..., options=...)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return SolveOptions(**kwargs).validate_for(backend)
+    return True

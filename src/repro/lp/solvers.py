@@ -15,10 +15,8 @@ Backends:
     ``highs`` when available, else ``branch_bound[builtin]``.
 
 Options are carried by a typed :class:`~repro.lp.options.SolveOptions`
-record validated against the chosen backend; the old ``**kwargs`` style
-still works but warns ``DeprecationWarning``.  Externally registered
-backends (:func:`register_backend`) keep the ``fn(problem, **options)``
-calling convention.
+record validated against the chosen backend.  Every backend, built-in or
+added with :func:`register_backend`, is called as ``fn(problem, options)``.
 
 Every solve that passes through :func:`solve` is recorded by the
 telemetry layer: the ``solves.*`` counters are bumped and — when a trace
@@ -49,7 +47,7 @@ from .fingerprint import (
     structure_fingerprint,
 )
 from .matrix_lp import RelaxationContext, solve_lp_arrays
-from .options import SolveOptions, options_from_kwargs
+from .options import SolveOptions
 from .problem import Problem
 from .rounding import solve_with_rounding
 from .solution import Solution, SolveStatus
@@ -165,7 +163,7 @@ def _solve_auto(problem: Problem, options: SolveOptions) -> Solution:
         return _solve_branch_bound(problem, fallback)
 
 
-_BACKENDS: dict[str, Callable[..., Solution]] = {
+_BACKENDS: dict[str, Callable[[Problem, SolveOptions], Solution]] = {
     "highs": _solve_highs,
     "branch_bound": _solve_branch_bound,
     "simplex": _solve_simplex,
@@ -173,18 +171,16 @@ _BACKENDS: dict[str, Callable[..., Solution]] = {
     "auto": _solve_auto,
 }
 
-#: Built-in backends take a typed ``SolveOptions``; externally registered
-#: ones keep receiving ``**kwargs`` (their functions predate the record).
-_TYPED_BACKENDS = frozenset(_BACKENDS)
-
 
 def available_backends() -> list[str]:
     """Names accepted by :func:`solve`."""
     return sorted(_BACKENDS)
 
 
-def register_backend(name: str, fn: Callable[..., Solution]) -> None:
-    """Register a custom backend (used by tests and extensions)."""
+def register_backend(
+    name: str, fn: Callable[[Problem, SolveOptions], Solution]
+) -> None:
+    """Register a custom backend, called as ``fn(problem, options)``."""
     if name in _BACKENDS:
         raise ValueError(f"backend {name!r} already registered")
     _BACKENDS[name] = fn
@@ -195,15 +191,12 @@ def solve(
     backend: str = "auto",
     options: SolveOptions | None = None,
     cache: "SolveCache | None" = None,
-    **legacy_options,
 ) -> Solution:
     """Solve ``problem`` with the named backend.
 
     ``options`` is the typed way to configure the solve; it is validated
     against the chosen backend so engine-specific flags can no longer be
-    silently ignored.  Extra keyword options are still accepted for
-    backwards compatibility (``time_limit=...``), emit a
-    ``DeprecationWarning``, and cannot be combined with ``options``.
+    silently ignored.
 
     ``cache`` routes the call through a :class:`SolveCache`:
     fingerprint-identical re-solves return the cached solution, and
@@ -216,25 +209,12 @@ def solve(
             f"unknown backend {backend!r}; available: {', '.join(available_backends())}"
         ) from None
 
-    if backend in _TYPED_BACKENDS:
-        if legacy_options:
-            if options is not None:
-                raise TypeError(
-                    "pass either a SolveOptions record or keyword options, not both"
-                )
-            options = options_from_kwargs(backend, legacy_options)
-        else:
-            options = (options or SolveOptions()).validate_for(backend)
-        if cache is not None:
-            return cache.solve(problem, backend, options)
-        call = lambda: fn(problem, options)
-    else:
-        if options is not None:
-            legacy_options = dict(options.as_kwargs(), **legacy_options)
-        call = lambda: fn(problem, **legacy_options)
+    options = (options or SolveOptions()).validate_for(backend)
+    if cache is not None:
+        return cache.solve(problem, backend, options)
 
     start = time.monotonic()
-    solution = call()
+    solution = fn(problem, options)
     record_solve(
         problem=problem.name,
         backend=backend,

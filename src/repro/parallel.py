@@ -1,11 +1,8 @@
 """Shared process fan-out used across the library.
 
-:func:`parallel_map` started life inside ``experiments/harness.py`` as
-sweep plumbing; it now also powers the decomposition engine's pricing
-fan-out (:mod:`repro.core.decomposition`) and anything else that wants
-"run these independent chunks across worker processes".  The old import
-path (``repro.experiments.harness.parallel_map``) keeps working as a
-deprecated alias.
+:func:`parallel_map` runs the experiment sweeps, the decomposition
+engine's pricing fan-out (:mod:`repro.core.decomposition`) and anything
+else that wants "run these independent chunks across worker processes".
 """
 
 from __future__ import annotations

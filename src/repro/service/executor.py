@@ -186,7 +186,7 @@ def _execute_compare(payload: dict[str, Any]) -> dict[str, Any]:
         enable_dr=options.enable_dr,
         backend=options.backend,
         wan_model=options.wan_model,
-        solver_options=dict(options.solver_options),
+        solve_options=options.solve_options,
     )
     algorithms = {}
     for algo in [result.asis, result.manual, result.greedy, result.etransform]:

@@ -207,9 +207,12 @@ class JobManager:
         from .cluster.store import LIVE_STATES
 
         with self._lock:
-            for data in self._store.list(
-                claimed_by=self.replica_id, states=LIVE_STATES
-            ):
+            live = self._store.list(claimed_by=self.replica_id, states=LIVE_STATES)
+            # Jobs that were waiting go ahead of the ones that were
+            # mid-solve when the previous incarnation died, so a long
+            # job does not hold up the jobs queued behind it twice.
+            live.sort(key=lambda data: data["state"] == JobState.RUNNING.value)
+            for data in live:
                 if data["id"] in self._jobs:
                     continue
                 record = JobRecord.from_store_dict(data)

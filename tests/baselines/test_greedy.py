@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import GreedyPlanError, greedy_plan
-from repro.core import ApplicationGroup, AsIsState, plan_consolidation
+import repro
+from repro import PlannerOptions
+from repro.baselines import GreedyPlanError
+from repro.core import ApplicationGroup, AsIsState
 
 from ..conftest import make_datacenter
 
 
 class TestGreedy:
     def test_produces_valid_plan(self, tiny_state):
-        plan = greedy_plan(tiny_state)
+        plan = repro.solve(tiny_state, method="greedy").plan
         from repro.core import validate_plan
 
         validate_plan(tiny_state, plan)
@@ -22,7 +24,7 @@ class TestGreedy:
         targets = [make_datacenter("d0", capacity=60), make_datacenter("d1", capacity=60)]
         groups = [ApplicationGroup(f"g{i}", 25, users={"east": 1.0}) for i in range(4)]
         state = AsIsState("s", groups, targets, user_locations=user_locations)
-        plan = greedy_plan(state)
+        plan = repro.solve(state, method="greedy").plan
         load = {}
         for g in state.app_groups:
             load[plan.placement[g.name]] = load.get(plan.placement[g.name], 0) + 25
@@ -30,12 +32,14 @@ class TestGreedy:
 
     def test_sees_latency(self, tiny_state):
         # Unlike manual, greedy prices the latency penalty per placement.
-        plan = greedy_plan(tiny_state)
+        plan = repro.solve(tiny_state, method="greedy").plan
         assert plan.latency_violations == 0
 
     def test_never_better_than_lp(self, tiny_state):
-        greedy = greedy_plan(tiny_state)
-        lp = plan_consolidation(tiny_state, backend="highs")
+        greedy = repro.solve(tiny_state, method="greedy").plan
+        lp = repro.solve(
+            tiny_state, method="milp", options=PlannerOptions(backend="highs")
+        ).plan
         assert lp.total_cost <= greedy.total_cost + 1e-6
 
     def test_raises_when_stuck(self, user_locations):
@@ -43,21 +47,25 @@ class TestGreedy:
         groups = [ApplicationGroup(f"g{i}", 8, users={"east": 1.0}) for i in range(3)]
         state = AsIsState("s", groups, targets, user_locations=user_locations)
         with pytest.raises(GreedyPlanError, match="fits nowhere"):
-            greedy_plan(state)
+            repro.solve(state, method="greedy").plan
 
     def test_respects_forbidden_sites(self, tiny_state):
         tiny_state.app_groups[0].forbidden_datacenters = frozenset({"mid", "cheap-far"})
-        plan = greedy_plan(tiny_state)
+        plan = repro.solve(tiny_state, method="greedy").plan
         assert plan.placement["erp"] == "east-dc"
 
     def test_vpn_wan_model(self, tiny_state):
-        plan = greedy_plan(tiny_state, wan_model="vpn")
+        plan = repro.solve(
+            tiny_state, method="greedy", options=PlannerOptions(wan_model="vpn")
+        ).plan
         assert plan.breakdown.wan > 0
 
 
 class TestGreedyDR:
     def test_secondary_differs_from_primary(self, tiny_state):
-        plan = greedy_plan(tiny_state, enable_dr=True)
+        plan = repro.solve(
+            tiny_state, method="greedy", options=PlannerOptions(enable_dr=True)
+        ).plan
         assert plan.has_dr
         for g in plan.placement:
             assert plan.placement[g] != plan.secondary[g]
@@ -65,14 +73,18 @@ class TestGreedyDR:
     def test_pools_sized_by_shared_rule(self, tiny_state):
         from repro.core import shared_backup_requirements
 
-        plan = greedy_plan(tiny_state, enable_dr=True)
+        plan = repro.solve(
+            tiny_state, method="greedy", options=PlannerOptions(enable_dr=True)
+        ).plan
         expected = shared_backup_requirements(
             tiny_state.app_groups, plan.placement, plan.secondary
         )
         assert plan.backup_servers == expected
 
     def test_capacity_includes_pools(self, tiny_state):
-        plan = greedy_plan(tiny_state, enable_dr=True)
+        plan = repro.solve(
+            tiny_state, method="greedy", options=PlannerOptions(enable_dr=True)
+        ).plan
         load = {}
         for g in tiny_state.app_groups:
             load[plan.placement[g.name]] = (
@@ -84,8 +96,14 @@ class TestGreedyDR:
             assert used <= tiny_state.target(name).capacity
 
     def test_dr_never_better_than_lp_dr(self, tiny_state):
-        greedy = greedy_plan(tiny_state, enable_dr=True)
-        lp = plan_consolidation(tiny_state, enable_dr=True, backend="highs")
+        greedy = repro.solve(
+            tiny_state, method="greedy", options=PlannerOptions(enable_dr=True)
+        ).plan
+        lp = repro.solve(
+            tiny_state,
+            method="milp",
+            options=PlannerOptions(enable_dr=True, backend="highs"),
+        ).plan
         assert lp.total_cost <= greedy.total_cost + 1e-6
 
     def test_raises_when_no_dr_site(self, user_locations):
@@ -95,4 +113,6 @@ class TestGreedyDR:
                   ApplicationGroup("b", 25, users={"east": 1.0})]
         state = AsIsState("s", groups, targets, user_locations=user_locations)
         with pytest.raises(GreedyPlanError, match="DR site"):
-            greedy_plan(state, enable_dr=True)
+            repro.solve(
+                state, method="greedy", options=PlannerOptions(enable_dr=True)
+            ).plan

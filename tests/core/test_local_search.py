@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.baselines import greedy_plan
-from repro.core import evaluate_plan, plan_consolidation, validate_plan
+import repro
+from repro import PlannerOptions, SolveOptions
+from repro.core import evaluate_plan, validate_plan
 from repro.core.local_search import improve_plan
 
 
@@ -22,7 +23,7 @@ def worst_plan(state):
 
 class TestImprovePlan:
     def test_never_worsens(self, tiny_state):
-        base = greedy_plan(tiny_state)
+        base = repro.solve(tiny_state, method="greedy").plan
         result = improve_plan(tiny_state, base)
         assert result.plan.total_cost <= base.total_cost + 1e-6
         assert result.improvement >= -1e-6
@@ -36,7 +37,9 @@ class TestImprovePlan:
     def test_reaches_lp_quality_on_tiny(self, tiny_state):
         bad = worst_plan(tiny_state)
         result = improve_plan(tiny_state, bad)
-        lp = plan_consolidation(tiny_state, backend="highs")
+        lp = repro.solve(
+            tiny_state, method="milp", options=PlannerOptions(backend="highs")
+        ).plan
         assert result.plan.total_cost <= lp.total_cost * 1.05
 
     def test_result_validates(self, tiny_state):
@@ -77,7 +80,7 @@ class TestImprovePlan:
             improve_plan(tiny_state, bad, max_iterations=-1)
 
     def test_solver_tag_extended(self, tiny_state):
-        base = greedy_plan(tiny_state)
+        base = repro.solve(tiny_state, method="greedy").plan
         result = improve_plan(tiny_state, base)
         assert result.plan.solver == "greedy+ls"
 
@@ -92,9 +95,15 @@ class TestImprovePlan:
         from repro.datasets import load_enterprise1
 
         state = load_enterprise1(scale=0.25)
-        base = greedy_plan(state)
+        base = repro.solve(state, method="greedy").plan
         result = improve_plan(state, base)
-        lp = plan_consolidation(state, backend="highs", mip_rel_gap=0.005)
+        lp = repro.solve(
+            state,
+            method="milp",
+            options=PlannerOptions(
+                backend="highs", solve_options=SolveOptions(mip_rel_gap=0.005)
+            ),
+        ).plan
         # Polished greedy closes (at least part of) the gap to the LP.
         assert result.plan.total_cost <= base.total_cost
         assert result.plan.total_cost >= lp.total_cost - 1e-6

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+import repro
+from repro import PlannerOptions
 from repro.core import (
     ApplicationGroup,
     AsIsState,
     ConsolidationModel,
     StateValidationError,
     evaluate_plan,
-    plan_consolidation,
     validate_state,
 )
 from repro.core.latency import NO_PENALTY
@@ -107,12 +108,16 @@ class TestOptimization:
         # Individually, front wants 'near' (else a $20k latency
         # penalty) and db wants 'cheap'; splitting them costs $50k of
         # inter-site WAN, so the MILP colocates both at 'near'.
-        plan = plan_consolidation(chatty_state, backend="highs")
+        plan = repro.solve(
+            chatty_state, method="milp", options=PlannerOptions(backend="highs")
+        ).plan
         assert plan.placement["front"] == plan.placement["db"] == "near"
 
     def test_solver_splits_when_traffic_cheap(self, chatty_state):
         chatty_state.app_groups[0].peers = {"db": 10.0}  # negligible
-        plan = plan_consolidation(chatty_state, backend="highs")
+        plan = repro.solve(
+            chatty_state, method="milp", options=PlannerOptions(backend="highs")
+        ).plan
         assert plan.placement["front"] == "near"
         assert plan.placement["db"] == "cheap"
 
@@ -159,26 +164,21 @@ class TestInteractions:
 
 class TestGreedyPeerAwareness:
     def test_greedy_colocates_chatty_pair(self, chatty_state):
-        from repro.baselines import greedy_plan
-
         # Greedy places the 60-server groups in size order (front ties
         # db; sorted is stable so 'front' goes first, toward 'near').
         # When 'db' is priced, the $50k split cost must pull it to
         # 'near' too, despite cheaper space at 'cheap'.
-        plan = greedy_plan(chatty_state)
+        plan = repro.solve(chatty_state, method="greedy").plan
         assert plan.placement["front"] == plan.placement["db"]
 
     def test_greedy_splits_when_traffic_negligible(self, chatty_state):
-        from repro.baselines import greedy_plan
-
         chatty_state.app_groups[0].peers = {"db": 10.0}
-        plan = greedy_plan(chatty_state)
+        plan = repro.solve(chatty_state, method="greedy").plan
         assert plan.placement["db"] == "cheap"
 
     def test_greedy_cost_includes_split_penalty(self, chatty_state):
-        from repro.baselines import greedy_plan
-        from repro.core import plan_consolidation
-
-        greedy = greedy_plan(chatty_state)
-        lp = plan_consolidation(chatty_state, backend="highs")
+        greedy = repro.solve(chatty_state, method="greedy").plan
+        lp = repro.solve(
+            chatty_state, method="milp", options=PlannerOptions(backend="highs")
+        ).plan
         assert lp.total_cost <= greedy.total_cost + 1e-6

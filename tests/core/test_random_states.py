@@ -12,18 +12,18 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro
+from repro import PlannerOptions, SolveOptions
 from repro.core import (
     ApplicationGroup,
     AsIsState,
     StepCostFunction,
     UserLocation,
     evaluate_plan,
-    plan_consolidation,
     validate_plan,
 )
 from repro.core.entities import DataCenter
 from repro.core.latency import LatencyPenaltyFunction, NO_PENALTY
-from repro.baselines import greedy_plan
 
 LOCATIONS = ["east", "west"]
 
@@ -111,11 +111,17 @@ def test_lp_never_loses_to_greedy(state):
     from repro.core.planner import PlanningError
 
     try:
-        greedy = greedy_plan(state)
+        greedy = repro.solve(state, method="greedy").plan
     except GreedyPlanError:
         return  # greedy boxed itself in; nothing to compare
     try:
-        lp = plan_consolidation(state, backend="highs", mip_rel_gap=1e-6)
+        lp = repro.solve(
+            state,
+            method="milp",
+            options=PlannerOptions(
+                backend="highs", solve_options=SolveOptions(mip_rel_gap=1e-6)
+            ),
+        ).plan
     except PlanningError:
         pytest.fail("LP infeasible although greedy found a plan")
     assert lp.total_cost <= greedy.total_cost + max(1e-4, 1e-6 * greedy.total_cost)
@@ -127,7 +133,13 @@ def test_plans_validate_and_match_objective(state):
     from repro.core.planner import PlanningError
 
     try:
-        plan = plan_consolidation(state, backend="highs", mip_rel_gap=1e-6)
+        plan = repro.solve(
+            state,
+            method="milp",
+            options=PlannerOptions(
+                backend="highs", solve_options=SolveOptions(mip_rel_gap=1e-6)
+            ),
+        ).plan
     except PlanningError:
         return  # genuinely infeasible packing
     validate_plan(state, plan)
@@ -148,9 +160,15 @@ def test_dr_plans_respect_invariants(state):
     except StateValidationError:
         return
     try:
-        plan = plan_consolidation(
-            state, enable_dr=True, backend="highs", mip_rel_gap=0.01, time_limit=20
-        )
+        plan = repro.solve(
+            state,
+            method="milp",
+            options=PlannerOptions(
+                enable_dr=True,
+                backend="highs",
+                solve_options=SolveOptions(mip_rel_gap=0.01, time_limit=20),
+            ),
+        ).plan
     except PlanningError:
         return
     validate_plan(state, plan)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+import repro
+from repro import PlannerOptions
 from repro.core import validate_state
 from repro.datasets import (
     ENTERPRISE1_USERS,
@@ -124,10 +126,10 @@ class TestScaling:
         assert spec.scaled() is spec
 
     def test_scaled_state_still_plannable(self):
-        from repro.core import plan_consolidation
-
         state = load_enterprise1(scale=0.1)
-        plan = plan_consolidation(state, backend="highs")
+        plan = repro.solve(
+            state, method="milp", options=PlannerOptions(backend="highs")
+        ).plan
         assert plan.total_cost > 0
 
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import plan_consolidation, validate_state
+import repro
+from repro import PlannerOptions, SolveOptions
+from repro.core import validate_state
 from repro.datasets.presets import (
     hp_spec,
     load_hp,
@@ -33,7 +35,13 @@ class TestUKGovernment:
 
         state = load_uk_government(scale=0.2)
         asis = asis_plan(state)
-        plan = plan_consolidation(state, backend="highs", mip_rel_gap=0.01)
+        plan = repro.solve(
+            state,
+            method="milp",
+            options=PlannerOptions(
+                backend="highs", solve_options=SolveOptions(mip_rel_gap=0.01)
+            ),
+        ).plan
         assert plan.total_cost < asis.total_cost
         # The whole point: far fewer sites than the 24 as-is ones.
         assert len(plan.datacenters_used) <= 5

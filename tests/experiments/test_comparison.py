@@ -9,23 +9,24 @@ from __future__ import annotations
 
 import pytest
 
+from repro import SolveOptions
 from repro.datasets import load_enterprise1
 from repro.experiments import run_case_studies, run_comparison
 
-SOLVER_OPTIONS = {"mip_rel_gap": 0.01, "time_limit": 60}
+SOLVER_OPTIONS = SolveOptions(mip_rel_gap=0.01, time_limit=60)
 
 
 @pytest.fixture(scope="module")
 def nondr():
     state = load_enterprise1(scale=0.4)
-    return run_comparison(state, backend="highs", solver_options=SOLVER_OPTIONS)
+    return run_comparison(state, backend="highs", solve_options=SOLVER_OPTIONS)
 
 
 @pytest.fixture(scope="module")
 def dr():
     state = load_enterprise1(scale=0.2)
     return run_comparison(
-        state, enable_dr=True, backend="highs", solver_options=SOLVER_OPTIONS
+        state, enable_dr=True, backend="highs", solve_options=SOLVER_OPTIONS
     )
 
 
@@ -88,7 +89,7 @@ class TestSuiteRunner:
             datasets=("enterprise1",),
             scales={"enterprise1": 0.15},
             backend="highs",
-            solver_options=SOLVER_OPTIONS,
+            solve_options=SOLVER_OPTIONS,
         )
         assert len(suite.results) == 1
         assert suite.result("enterprise1").dataset == "enterprise1"

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro import SolveOptions
 from repro.datasets import load_enterprise1
 from repro.experiments import run_resilience, run_site_count
 
-SOLVER = {"mip_rel_gap": 0.02, "time_limit": 60}
+SOLVER = SolveOptions(mip_rel_gap=0.02, time_limit=60)
 
 
 class TestResilience:
@@ -15,7 +16,7 @@ class TestResilience:
     def result(self):
         state = load_enterprise1(scale=0.1)
         return run_resilience(
-            state, horizon_months=120, backend="highs", solver_options=SOLVER
+            state, horizon_months=120, backend="highs", solve_options=SOLVER
         )
 
     def test_three_variants(self, result):
@@ -55,7 +56,7 @@ class TestSiteCount:
     @pytest.fixture(scope="class")
     def result(self):
         state = load_enterprise1(scale=0.2)
-        return run_site_count(state, backend="highs", solver_options=SOLVER)
+        return run_site_count(state, backend="highs", solve_options=SOLVER)
 
     def test_one_point_per_count(self, result):
         offered = [p.offered for p in result.points]
@@ -77,7 +78,7 @@ class TestSiteCount:
         first = state.target_datacenters[0]
         if first.capacity < state.total_servers:
             result = run_site_count(
-                state, counts=(1,), backend="highs", solver_options=SOLVER
+                state, counts=(1,), backend="highs", solve_options=SOLVER
             )
             assert not result.points[0].feasible
 

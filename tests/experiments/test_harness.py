@@ -9,10 +9,10 @@ from repro.experiments.harness import (
     AlgorithmResult,
     SweepPoint,
     SweepSeries,
-    parallel_map,
     state_label,
     timed_plan,
 )
+from repro.parallel import parallel_map
 
 
 class TestAlgorithmResult:
@@ -32,7 +32,7 @@ class TestAlgorithmResult:
 
         plan = ETransformPlanner(
             tiny_state, PlannerOptions(backend="branch_bound")
-        ).plan()
+        ).build_plan()
         result = AlgorithmResult.from_plan("etransform", plan, 0.1)
         assert result.solve_stats is plan.solver_stats
         assert result.solve_stats is not None

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import SolveOptions
 from repro.experiments import (
     mean_user_latency,
     run_dr_cost_sweep,
@@ -22,7 +23,7 @@ def latency_sweep():
         backend="highs",
         n_groups=40,
         total_servers=220,
-        solver_options={"mip_rel_gap": 0.005, "time_limit": 30},
+        solve_options=SolveOptions(mip_rel_gap=0.005, time_limit=30),
     )
 
 
@@ -73,7 +74,7 @@ class TestDRCostSweep:
             backend="highs",
             n_groups=30,
             total_servers=160,
-            solver_options={"mip_rel_gap": 0.02, "time_limit": 30},
+            solve_options=SolveOptions(mip_rel_gap=0.02, time_limit=30),
         )
 
     def test_datacenters_grow_with_zeta(self, sweep):
@@ -121,7 +122,7 @@ class TestPlacementGrowth:
         return run_placement_growth(
             group_counts=(100, 300, 500),
             backend="highs",
-            solver_options={"mip_rel_gap": 1e-4},
+            solve_options=SolveOptions(mip_rel_gap=1e-4),
         )
 
     def test_staircase_monotone(self, result):
@@ -165,7 +166,7 @@ class TestSweepProcessFanout:
             backend="highs",
             n_groups=40,
             total_servers=220,
-            solver_options={"mip_rel_gap": 0.005, "time_limit": 30},
+            solve_options=SolveOptions(mip_rel_gap=0.005, time_limit=30),
             jobs=2,
         )
         for serial_s, parallel_s in zip(latency_sweep.series, parallel.series):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import SolveOptions
 from repro.datasets import load_enterprise1
 from repro.experiments import run_comparison, tables
 from repro.experiments.comparison import CaseStudySuite
@@ -18,7 +19,9 @@ from repro.experiments.tradeoff import LocationCost, TradeoffResult
 def comparison():
     state = load_enterprise1(scale=0.12)
     return run_comparison(
-        state, backend="highs", solver_options={"mip_rel_gap": 0.02, "time_limit": 30}
+        state,
+        backend="highs",
+        solve_options=SolveOptions(mip_rel_gap=0.02, time_limit=30),
     )
 
 

@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+import repro
+from repro import PlannerOptions
 from repro.core import (
     ApplicationGroup,
     StepCostFunction,
@@ -91,13 +93,15 @@ class TestStateRoundTrip:
         )
 
     def test_plans_identical_after_roundtrip(self, tiny_state, tmp_path):
-        from repro.core import plan_consolidation
-
         path = tmp_path / "state.json"
         save_state(tiny_state, str(path))
         back = load_state(str(path))
-        a = plan_consolidation(tiny_state, backend="highs")
-        b = plan_consolidation(back, backend="highs")
+        a = repro.solve(
+            tiny_state, method="milp", options=PlannerOptions(backend="highs")
+        ).plan
+        b = repro.solve(
+            back, method="milp", options=PlannerOptions(backend="highs")
+        ).plan
         assert a.total_cost == pytest.approx(b.total_cost)
 
     def test_schema_version_checked(self, tiny_state):
@@ -129,22 +133,42 @@ class TestPlanSerialization:
         assert data["datacenters_used"] == ["mid"]
 
 
+@pytest.fixture(scope="module")
+def case_study_plan():
+    """``name -> plan``: each case study at scale 0.25, solved once by HiGHS.
+
+    Both round-trip tests below read the same plan, so the federal MILP
+    (the slowest solve in the suite) runs once per module, not per test.
+    """
+    from repro.datasets import load_enterprise1, load_federal, load_florida
+
+    loaders = {
+        "enterprise1": load_enterprise1,
+        "federal": load_federal,
+        "florida": load_florida,
+    }
+    plans = {}
+
+    def plan_for(name):
+        if name not in plans:
+            plans[name] = repro.solve(
+                loaders[name](scale=0.25),
+                method="milp",
+                options=PlannerOptions(backend="highs"),
+            ).plan
+        return plans[name]
+
+    return plan_for
+
+
 class TestCaseStudyPlanRoundTrips:
     """plan → JSON → plan on the three paper case studies."""
 
     @pytest.mark.parametrize("name", ["enterprise1", "federal", "florida"])
-    def test_round_trip_preserves_the_plan(self, name, tmp_path):
-        from repro import plan_consolidation
-        from repro.datasets import load_enterprise1, load_federal, load_florida
+    def test_round_trip_preserves_the_plan(self, name, tmp_path, case_study_plan):
         from repro.io import load_plan, save_plan
 
-        loader = {
-            "enterprise1": load_enterprise1,
-            "federal": load_federal,
-            "florida": load_florida,
-        }[name]
-        state = loader(scale=0.25)
-        plan = plan_consolidation(state, backend="highs")
+        plan = case_study_plan(name)
 
         path = tmp_path / f"{name}.json"
         save_plan(plan, str(path))
@@ -164,17 +188,10 @@ class TestCaseStudyPlanRoundTrips:
         )
 
     @pytest.mark.parametrize("name", ["enterprise1", "federal", "florida"])
-    def test_solve_stats_round_trip(self, name):
-        from repro import plan_consolidation
-        from repro.datasets import load_enterprise1, load_federal, load_florida
+    def test_solve_stats_round_trip(self, name, case_study_plan):
         from repro.telemetry import SolveStats
 
-        loader = {
-            "enterprise1": load_enterprise1,
-            "federal": load_federal,
-            "florida": load_florida,
-        }[name]
-        plan = plan_consolidation(loader(scale=0.25), backend="highs")
+        plan = case_study_plan(name)
         stats = plan.solver_stats
         assert stats is not None
         restored = SolveStats.from_dict(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.lp import Problem, SolveStatus, quicksum, solve
+from repro.lp import Problem, SolveOptions, SolveStatus, quicksum, solve
 from repro.lp.branch_bound import solve_branch_and_bound
 from repro.lp.cuts import (
     CoverCut,
@@ -144,7 +144,7 @@ class TestCutAndBranch:
 
     def test_option_flows_through_registry(self):
         p = hard_knapsack()
-        sol = solve(p, backend="branch_bound", cover_cut_rounds=3)
+        sol = solve(p, backend="branch_bound", options=SolveOptions(cover_cut_rounds=3))
         assert sol.status is SolveStatus.OPTIMAL
 
     def test_general_integer_knapsack_keeps_true_optimum(self):
@@ -173,7 +173,11 @@ class TestCutAndBranch:
 
         model = ConsolidationModel(tiny_state)
         ref = solve(model.problem, backend="highs")
-        cut = solve(model.problem, backend="branch_bound", cover_cut_rounds=3)
+        cut = solve(
+            model.problem,
+            backend="branch_bound",
+            options=SolveOptions(cover_cut_rounds=3),
+        )
         assert cut.objective == pytest.approx(ref.objective, rel=1e-6)
 
 

@@ -1,4 +1,4 @@
-"""Typed SolveOptions, the legacy-kwargs shim, and the SolveCache."""
+"""Typed SolveOptions, their wire form, and the SolveCache."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from repro.lp import (
     solve,
     structure_fingerprint,
 )
-from repro.lp.options import BACKEND_OPTION_FIELDS, options_from_kwargs
+from repro.lp.options import BACKEND_OPTION_FIELDS
 
 
 class TestSolveOptionsValidation:
@@ -57,30 +57,54 @@ class TestSolveOptionsValidation:
         assert SolveOptions(node_limit=7).non_default_fields() == {"node_limit": 7}
 
 
-class TestLegacyKwargsShim:
-    def test_kwargs_warn_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="SolveOptions"):
-            opts = options_from_kwargs("branch_bound", {"node_limit": 9})
-        assert opts.node_limit == 9
+class TestWireParsing:
+    def test_round_trips_non_default_fields(self):
+        opts = SolveOptions(time_limit=2.5, node_limit=9, warm_start={"x": 1.0})
+        assert SolveOptions.from_wire(opts.non_default_fields()) == opts
 
-    def test_unknown_kwarg_is_type_error(self):
-        with pytest.raises(TypeError, match="unknown solver option"):
-            options_from_kwargs("highs", {"tim_limit": 1.0})
+    def test_rejects_unknown_key(self):
+        with pytest.raises(ValueError, match="unknown solver option"):
+            SolveOptions.from_wire({"tim_limit": 1.0})
 
-    def test_solve_accepts_legacy_kwargs(self):
-        p = Problem("shim")
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"node_limit": "x"},
+            {"node_limit": 2.5},
+            {"time_limit": True},
+            {"presolve": 1},
+            {"relaxation_engine": 3},
+            {"warm_start": [1.0]},
+            {"warm_start": {"x": "1"}},
+        ],
+        ids=["string-node-limit", "float-node-limit", "bool-time-limit",
+             "int-presolve", "int-engine", "list-warm-start", "string-warm-value"],
+    )
+    def test_rejects_wrong_json_types(self, bad):
+        with pytest.raises(ValueError, match="bad value"):
+            SolveOptions.from_wire(bad)
+
+    def test_null_only_where_the_default_is_null(self):
+        assert SolveOptions.from_wire({"time_limit": None}).time_limit is None
+        with pytest.raises(ValueError, match="bad value"):
+            SolveOptions.from_wire({"node_limit": None})
+
+    def test_range_checks_still_apply(self):
+        with pytest.raises(ValueError, match="time_limit must be positive"):
+            SolveOptions.from_wire({"time_limit": -1})
+
+
+class TestCallingConvention:
+    def test_keyword_options_are_rejected(self):
+        p = Problem("kw")
         x = p.add_binary("x")
         p.set_objective(-x)
-        with pytest.warns(DeprecationWarning):
-            sol = solve(p, backend="branch_bound", node_limit=50)
-        assert sol.objective == pytest.approx(-1.0)
+        with pytest.raises(TypeError):
+            solve(p, backend="branch_bound", node_limit=50)
 
-    def test_options_and_kwargs_together_rejected(self):
-        p = Problem("both")
-        x = p.add_binary("x")
-        p.set_objective(-x)
-        with pytest.raises(TypeError, match="not both"):
-            solve(p, backend="branch_bound", options=SolveOptions(), node_limit=5)
+    def test_revised_engine_alias_is_gone(self):
+        with pytest.raises(ValueError, match="unknown relaxation engine"):
+            SolveOptions(relaxation_engine="revised")
 
 
 def knapsack(n: int = 6) -> Problem:

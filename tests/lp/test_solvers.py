@@ -7,6 +7,7 @@ import pytest
 from repro.lp import (
     Problem,
     Solution,
+    SolveOptions,
     SolveStatus,
     available_backends,
     quicksum,
@@ -42,7 +43,7 @@ class TestRegistry:
             solve(Problem(), backend="cplex")
 
     def test_register_custom_backend(self):
-        def fake(problem, **options):
+        def fake(problem, options):
             return Solution(SolveStatus.ERROR, solver="fake", message="hi")
 
         register_backend("fake-test", fake)
@@ -122,22 +123,20 @@ class TestSolutionType:
 
 
 class TestOptionForwarding:
-    """solve(...) must pass extra keyword options through to backends."""
+    """solve(...) must pass its SolveOptions through to backends."""
 
     def test_custom_backend_receives_options(self):
         seen = {}
 
-        def recorder(problem, **options):
-            seen.update(options)
+        def recorder(problem, options):
+            seen.update(options.non_default_fields())
             return Solution(SolveStatus.ERROR, solver="recorder")
 
         register_backend("recorder-test", recorder)
         solve(
             Problem(),
             backend="recorder-test",
-            node_limit=7,
-            cover_cut_rounds=2,
-            time_limit=1.5,
+            options=SolveOptions(node_limit=7, cover_cut_rounds=2, time_limit=1.5),
         )
         assert seen == {"node_limit": 7, "cover_cut_rounds": 2, "time_limit": 1.5}
 
@@ -150,7 +149,7 @@ class TestOptionForwarding:
             quicksum((i + 1) * x for i, x in enumerate(xs)) <= 12
         )
         p.set_objective(-quicksum((8 - i) * x for i, x in enumerate(xs)))
-        sol = solve(p, backend="branch_bound", node_limit=1)
+        sol = solve(p, backend="branch_bound", options=SolveOptions(node_limit=1))
         assert "node limit reached" in sol.message
 
     def test_cover_cut_rounds_reach_branch_bound(self):
@@ -158,7 +157,7 @@ class TestOptionForwarding:
         xs = [p.add_binary(f"x{i}") for i in range(4)]
         p.add_constraint(quicksum([5 * xs[0], 4 * xs[1], 3 * xs[2], 2 * xs[3]]) <= 10)
         p.set_objective(-quicksum([10 * xs[0], 40 * xs[1], 30 * xs[2], 50 * xs[3]]))
-        sol = solve(p, backend="branch_bound", cover_cut_rounds=3)
+        sol = solve(p, backend="branch_bound", options=SolveOptions(cover_cut_rounds=3))
         assert sol.status is SolveStatus.OPTIMAL
         # Stats must witness that the cut loop actually ran (or found
         # nothing to cut, in which case rounds stay 0 but solving is
@@ -168,14 +167,16 @@ class TestOptionForwarding:
 
     def test_relaxation_engine_forwarded(self):
         p = assignment_problem()
-        sol = solve(p, backend="branch_bound", relaxation_engine="builtin")
+        sol = solve(
+            p, backend="branch_bound", options=SolveOptions(relaxation_engine="builtin")
+        )
         assert sol.solver == "branch_bound[builtin]"
         assert sol.status is SolveStatus.OPTIMAL
 
 
 class TestRegisterBackendDuplicates:
     def test_duplicate_name_rejected(self):
-        def fake(problem, **options):
+        def fake(problem, options):
             return Solution(SolveStatus.ERROR, solver="dup")
 
         register_backend("dup-test", fake)
@@ -184,7 +185,7 @@ class TestRegisterBackendDuplicates:
 
     def test_builtin_names_cannot_be_shadowed(self):
         with pytest.raises(ValueError, match="already registered"):
-            register_backend("highs", lambda problem, **options: None)
+            register_backend("highs", lambda problem, options: None)
 
 
 class TestAutoFallback:
@@ -219,7 +220,9 @@ class TestSolveStatsAttached:
         p = assignment_problem()
         # The builtin relaxation engine counts its own pivots; HiGHS may
         # solve tiny node LPs entirely in presolve and report 0.
-        sol = solve(p, backend="branch_bound", relaxation_engine="builtin")
+        sol = solve(
+            p, backend="branch_bound", options=SolveOptions(relaxation_engine="builtin")
+        )
         stats = sol.stats
         assert stats is not None
         assert stats.nodes_explored > 0

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import plan_consolidation
+import repro
+from repro import PlannerOptions, SolveOptions
 from repro.migration import MigrationConfig, plan_migration
 
 
 @pytest.fixture
 def plan(asis_capable_state):
-    return plan_consolidation(asis_capable_state, backend="highs")
+    return repro.solve(
+        asis_capable_state, method="milp", options=PlannerOptions(backend="highs")
+    ).plan
 
 
 class TestConfig:
@@ -72,7 +75,9 @@ class TestPlanMigration:
     def test_risk_groups_never_share_a_wave(self, asis_capable_state):
         asis_capable_state.app_groups[0].risk_group = "pci"
         asis_capable_state.app_groups[1].risk_group = "pci"
-        plan = plan_consolidation(asis_capable_state, backend="highs")
+        plan = repro.solve(
+            asis_capable_state, method="milp", options=PlannerOptions(backend="highs")
+        ).plan
         schedule = plan_migration(asis_capable_state, plan)
         for wave in schedule.waves:
             tagged = [
@@ -99,7 +104,9 @@ class TestPlanMigration:
         assert schedule.monthly_saving == pytest.approx(expected)
 
     def test_monthly_saving_required_without_estate(self, tiny_state):
-        plan = plan_consolidation(tiny_state, backend="highs")
+        plan = repro.solve(
+            tiny_state, method="milp", options=PlannerOptions(backend="highs")
+        ).plan
         with pytest.raises(ValueError, match="monthly_saving"):
             plan_migration(tiny_state, plan)
         schedule = plan_migration(tiny_state, plan, monthly_saving=1000.0)
@@ -119,7 +126,13 @@ class TestPlanMigration:
         from repro.datasets import load_enterprise1
 
         state = load_enterprise1(scale=0.3)
-        plan = plan_consolidation(state, backend="highs", mip_rel_gap=0.01)
+        plan = repro.solve(
+            state,
+            method="milp",
+            options=PlannerOptions(
+                backend="highs", solve_options=SolveOptions(mip_rel_gap=0.01)
+            ),
+        ).plan
         schedule = plan_migration(state, plan)
         assert schedule.total_servers == state.total_servers
         assert schedule.payback_months < 24  # consolidation pays back fast

@@ -159,6 +159,30 @@ class TestErrorMapping:
         assert err.value.status == 400
         assert "max_retries" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "backend, solver_options",
+        [
+            ("highs", {"bogus": 1}),
+            ("highs", {"time_limit": -1}),
+            ("highs", {"node_limit": "x"}),
+            ("branch_bound", {"mip_rel_gap": 0.1}),
+        ],
+        ids=["unknown-key", "negative-time-limit", "string-node-limit",
+             "gap-on-branch-bound"],
+    )
+    def test_bad_solver_options_are_400_and_create_no_job(
+        self, service, state_doc, backend, solver_options
+    ):
+        manager, client = service
+        payload = plan_payload(state_doc, backend=backend)
+        payload["options"]["solver_options"] = solver_options
+        with pytest.raises(ServiceError) as err:
+            client.submit("plan", payload)
+        assert err.value.status == 400
+        assert "invalid planner options" in str(err.value)
+        assert client.jobs() == []
+        assert manager.jobs() == []
+
     def test_non_json_body_is_400(self, service):
         _, client = service
         import urllib.request

@@ -15,7 +15,8 @@ import time
 
 import pytest
 
-from repro import plan_consolidation
+import repro
+from repro import PlannerOptions
 from repro.service import (
     JobState,
     PayloadError,
@@ -56,7 +57,9 @@ class TestPlanJobs:
         assert done.state is JobState.SUCCEEDED
         assert done.via == "solve"
         assert done.attempts == 1
-        local = plan_consolidation(tiny_state, backend="highs")
+        local = repro.solve(
+            tiny_state, method="milp", options=PlannerOptions(backend="highs")
+        ).plan
         assert done.result["summary"]["total_cost"] == pytest.approx(
             local.breakdown.total, rel=1e-6
         )
@@ -238,7 +241,9 @@ class TestWorkerDeath:
         # identically, so the job must fail on attempt 1.
         manager = make_manager()
         payload = plan_payload(state_doc)
-        payload["options"] = {"backend": "highs", "solver_options": {"nope": 1}}
+        # The simplex backend passes the submit-time option check but
+        # refuses the integer model once the worker solves it.
+        payload["options"] = {"backend": "simplex"}
         record = manager.submit("plan", payload)
         done = manager.wait(record.id, timeout=60.0)
         assert done.state is JobState.FAILED

@@ -1,4 +1,4 @@
-"""The unified ``repro.solve`` front door, its auto rule and the shims."""
+"""The unified ``repro.solve`` front door and its auto rule."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import pytest
 import repro
 from repro.api import AUTO_DECOMPOSITION_PAIRS, METHODS, PlanResult, resolve_method
 from repro.core.planner import ETransformPlanner, PlannerOptions
+from repro.lp import SolveOptions
 
 
 class TestMethodDispatch:
@@ -102,6 +103,36 @@ class TestWireRoundTrip:
             with pytest.raises(ValueError, match="jobs must be"):
                 PlannerOptions.from_wire(wire)
 
+    def test_solve_options_survive_the_wire(self):
+        options = PlannerOptions(
+            backend="branch_bound",
+            solve_options=SolveOptions(time_limit=5.0, node_limit=40, presolve=False),
+        )
+        wire = options.as_wire()
+        assert wire["solver_options"] == {
+            "time_limit": 5.0, "node_limit": 40, "presolve": False,
+        }
+        assert PlannerOptions.from_wire(wire).solve_options == options.solve_options
+
+    @pytest.mark.parametrize(
+        "solver_options, backend",
+        [
+            ({"bogus": 1}, "auto"),
+            ({"mip_rel_gap": 0.1}, "branch_bound"),  # valid, but not for B&B
+            ([], "auto"),
+        ],
+        ids=["unknown-key", "gap-on-branch-bound", "not-an-object"],
+    )
+    def test_bad_wire_solver_options_are_rejected(self, solver_options, backend):
+        with pytest.raises(ValueError):
+            PlannerOptions.from_wire(
+                {"backend": backend, "solver_options": solver_options}
+            )
+
+    def test_presolve_wire_key_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown planner option"):
+            PlannerOptions.from_wire({"presolve": True})
+
     def test_wire_jobs_rejects_out_of_range(self):
         wire = PlannerOptions().as_wire()
         for bad in (-1, PlannerOptions.MAX_WIRE_JOBS + 1):
@@ -111,46 +142,15 @@ class TestWireRoundTrip:
 
 
 class TestDeprecationShims:
-    def test_plan_consolidation_warns_and_matches(self, tiny_state):
-        fresh = repro.solve(tiny_state, method="milp")
-        with pytest.warns(DeprecationWarning, match="repro.solve"):
-            legacy = repro.plan_consolidation(tiny_state)
-        assert legacy.placement == fresh.plan.placement
-        assert legacy.breakdown.total == pytest.approx(fresh.objective)
+    def test_removed_entry_points_are_gone(self):
+        import repro.baselines
+        import repro.experiments.harness
 
-    def test_planner_plan_warns_and_matches(self, tiny_state):
-        planner = ETransformPlanner(tiny_state, PlannerOptions())
-        fresh = planner.build_plan()
-        with pytest.warns(DeprecationWarning, match="build_plan"):
-            legacy = ETransformPlanner(tiny_state, PlannerOptions()).plan()
-        assert legacy.placement == fresh.placement
-
-    def test_greedy_plan_warns_and_matches(self, tiny_state):
-        fresh = repro.solve(tiny_state, method="greedy")
-        with pytest.warns(DeprecationWarning, match="method='greedy'"):
-            legacy = repro.greedy_plan(tiny_state)
-        assert legacy.placement == fresh.plan.placement
-
-    def test_lp_problem_first_argument_forwards_to_lp_solve(self):
-        from repro.lp import Problem
-
-        prob = Problem("toy")
-        x = prob.add_binary("x")
-        y = prob.add_binary("y")
-        prob.add_constraint(x + y <= 1)
-        prob.set_objective(-(2 * x + 3 * y))
-        with pytest.warns(DeprecationWarning, match="repro.lp.solve"):
-            solution = repro.solve(prob, backend="branch_bound")
-        assert solution.as_name_dict()["y"] == pytest.approx(1.0)
-
-    def test_parallel_map_alias_warns(self):
-        import repro.experiments.harness as harness
-
-        with pytest.warns(DeprecationWarning, match="repro.parallel"):
-            alias = harness.parallel_map
-        from repro.parallel import parallel_map
-
-        assert alias is parallel_map
+        assert not hasattr(repro, "plan_consolidation")
+        assert not hasattr(repro, "greedy_plan")
+        assert not hasattr(repro.baselines, "greedy_plan")
+        assert not hasattr(ETransformPlanner, "plan")
+        assert not hasattr(repro.experiments.harness, "parallel_map")
 
     def test_unified_paths_do_not_warn(self, tiny_state):
         with warnings.catch_warnings():

@@ -93,14 +93,34 @@ class TestProfileAndTrace:
         assert "nodes explored" in out
         assert "best-bound gap" in out
 
-    def test_profile_with_presolve_reports_reductions(self, state_file, capsys):
+    def test_profile_with_presolve_reports_reductions(self, tmp_path, capsys):
+        # branch_bound runs the array presolve by default; the profile
+        # line reports the columns it fixed on enterprise1.
+        from repro.datasets import load_enterprise1
+
+        state_file = str(tmp_path / "enterprise1.json")
+        save_state(load_enterprise1(scale=0.1), state_file)
         code = main([
-            "plan", state_file, "--backend", "highs", "--profile", "--presolve",
+            "plan", state_file, "--backend", "branch_bound", "--profile",
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "Solver statistics" in out
-        assert "presolve" in out
+        line = next(l for l in out.splitlines() if "presolve reductions" in l)
+        assert int(line.split()[2]) > 0, line  # "N vars fixed"
+
+    def test_presolve_flag_is_gone(self, state_file, capsys):
+        with pytest.raises(SystemExit):
+            main(["plan", state_file, "--presolve"])
+        assert "--presolve" in capsys.readouterr().err
+
+    def test_bad_time_limit_is_clean_error(self, state_file, capsys):
+        assert main(["migrate", state_file, "--time-limit", "-1"]) == 2
+        assert "time_limit must be positive" in capsys.readouterr().err
+        # A flag the backend would ignore is an input error too.
+        assert main(["migrate", state_file, "--backend", "branch_bound",
+                     "--mip-gap", "0.1"]) == 2
+        assert "not supported by backend" in capsys.readouterr().err
 
     def test_trace_writes_one_json_record_per_solve(self, state_file, tmp_path):
         trace = tmp_path / "out.jsonl"
@@ -200,7 +220,7 @@ class TestSweepJobs:
 
         seen = {}
 
-        def fake_sweep(backend="auto", solver_options=None, jobs=1):
+        def fake_sweep(backend="auto", solve_options=None, jobs=1):
             seen["jobs"] = jobs
             series = SweepSeries(
                 name="All users in location 0",
@@ -222,7 +242,7 @@ class TestSweepJobs:
 
         seen = {}
 
-        def fake_sweep(backend="auto", solver_options=None, jobs=1):
+        def fake_sweep(backend="auto", solve_options=None, jobs=1):
             seen["jobs"] = jobs
             return DRCostSweepResult(points=[
                 SweepPoint(1.0, {"datacenters_used": 2.0, "dr_servers": 5.0}),

@@ -42,14 +42,12 @@ PUBLIC_API = {
     "asis_plan",
     "asis_with_dr_plan",
     "evaluate_plan",
-    "greedy_plan",
     "improve_plan",
     "latency_line_scenario",
     "load_enterprise1",
     "load_federal",
     "load_florida",
     "manual_plan",
-    "plan_consolidation",
     "plan_migration",
     "run_replay",
     "run_robustness",
@@ -73,6 +71,19 @@ SOLVE_OPTION_FIELDS = {
     "warm_start",
 }
 
+PLANNER_OPTION_FIELDS = {
+    "wan_model",
+    "economies_of_scale",
+    "enable_dr",
+    "dedicated_backups",
+    "backend",
+    "solve_options",
+    "lp_export_path",
+    "validate_inputs",
+    "method",
+    "jobs",
+}
+
 
 class TestPublicSurface:
     def test_repro_all_matches_snapshot(self):
@@ -86,6 +97,10 @@ class TestPublicSurface:
         fields = {f.name for f in dataclasses.fields(SolveOptions)}
         assert fields == SOLVE_OPTION_FIELDS
 
+    def test_planner_options_fields_match_snapshot(self):
+        fields = {f.name for f in dataclasses.fields(repro.PlannerOptions)}
+        assert fields == PLANNER_OPTION_FIELDS
+
     def test_solve_options_is_frozen(self):
         opts = SolveOptions()
         with pytest_raises_frozen():
@@ -94,11 +109,9 @@ class TestPublicSurface:
     def test_facade_names_resolve_to_canonical_objects(self):
         from repro.api import solve as deep_solve
         from repro.core.iterative import IterativeSession as deep_session
-        from repro.core.planner import plan_consolidation as deep_plan
         from repro.lp.solvers import solve as lp_solve
 
         assert repro.IterativeSession is deep_session
-        assert repro.plan_consolidation is deep_plan
         # repro.solve is now the unified *planning* entry point; the
         # LP-level solve stays reachable at repro.lp.solve.
         assert repro.solve is deep_solve
